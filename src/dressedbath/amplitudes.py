@@ -558,21 +558,14 @@ def solve_delta_max(regime: str = "strong") -> float:
 
     The weak-regime bound never crosses zero (its discriminant is
     negative), so only the strong regime has a finite delta_max; asking
-    for the weak one raises InputError.  Bisected to 1e-12 absolute.
+    for the weak one raises InputError.  With w0 = 2/(2 + pi*delta) and
+    y = pi*delta/3 the strong bound w0**2 - w0*y - y**2 vanishes at
+    w0 = phi*y, phi the golden ratio, which gives the closed form
+    delta_max = (sqrt(1 + 6/phi) - 1)/pi.
     """
     if regime != "strong":
         if regime == "weak":
             raise InputError("the weak-regime bound stays positive for all delta")
         raise InputError(f"regime must be 'strong', got {regime!r}")
-    lo, hi = 0.0, 1.0
-    if cavity_min_bound(hi, "strong").min_probability >= 0.0:
-        raise NumericalFailure("strong bound did not turn negative by delta = 1")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if cavity_min_bound(mid, "strong").min_probability >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12:
-            break
-    return 0.5 * (lo + hi)
+    phi = 0.5 * (1.0 + math.sqrt(5.0))
+    return (math.sqrt(1.0 + 6.0 / phi) - 1.0) / math.pi

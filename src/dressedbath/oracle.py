@@ -41,7 +41,7 @@ __all__ = [
 
 _REL_ROTATE_THRESHOLD = 1e-15
 _MAX_SWEEPS = 100
-_MAX_DENSE_MODES = 2000
+_MAX_DENSE_MODES = 400
 
 
 @dataclass(frozen=True, eq=False)

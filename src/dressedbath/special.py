@@ -31,6 +31,8 @@ def _exp1_asymptotic(z: np.ndarray) -> np.ndarray:
     # e^z E1(z) ~ (1/z) * sum_k (-1)^k k! / z^k, truncated at the smallest
     # term per lane.  Valid for large |Re z| of either sign: the branch-cut
     # discontinuity -i*pi*e^z carries a factor e^{Re z} < e^{-600} there.
+    # At z = -x it is -e^-x Ei(x) ~ -(1/x) * sum_k k! / x^k, the same terms
+    # with every sign flipped exactly, so ei_scaled reuses it.
     inv = 1.0 / z
     term = inv.copy()
     total = inv.copy()
@@ -38,24 +40,6 @@ def _exp1_asymptotic(z: np.ndarray) -> np.ndarray:
     active = np.ones(z.shape, dtype=bool)
     for k in range(1, _MAX_TERMS):
         term = term * (-k * inv)
-        mag = np.abs(term)
-        active &= mag < last
-        if not active.any():
-            break
-        total = np.where(active, total + term, total)
-        last = mag
-    return total
-
-
-def _ei_asymptotic(x: np.ndarray) -> np.ndarray:
-    # e^-x Ei(x) ~ (1/x) * sum_k k! / x^k, all terms positive.
-    inv = 1.0 / x
-    term = inv.copy()
-    total = inv.copy()
-    last = np.abs(term)
-    active = np.ones(x.shape, dtype=bool)
-    for k in range(1, _MAX_TERMS):
-        term = term * (k * inv)
         mag = np.abs(term)
         active &= mag < last
         if not active.any():
@@ -95,5 +79,5 @@ def ei_scaled(x):
         xd = x_arr[direct]
         out[direct] = np.exp(-xd) * _sp.expi(xd)
     if (~direct).any():
-        out[~direct] = _ei_asymptotic(x_arr[~direct])
+        out[~direct] = -_exp1_asymptotic(-x_arr[~direct])
     return float(out[0]) if scalar else out

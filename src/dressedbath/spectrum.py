@@ -25,6 +25,9 @@ Three routes to the same physics, at different levels of approximation:
   delta is far below the smallness factor returned by
   ``cavity_smallness_factor``.
 
+The two exact routes hand their brackets to one root kernel,
+``_bracketed_roots``, and share its stop rule.
+
 ``cot_series_closed_form`` and ``series_identity_residual`` expose the
 series identity sum_{k>=1} 1/(k**2 - u**2) = 1/(2u**2) - pi*cot(pi*u)/(2u)
 that underlies the cotangent collapse, for direct numerical audit.
@@ -150,24 +153,72 @@ SmallnessFactors = namedtuple("SmallnessFactors", ["full", "weak_limit", "strong
 
 
 # ---------------------------------------------------------------------------
-# finite-N route
+# shared root kernel
 # ---------------------------------------------------------------------------
 
-def _secular_and_slope(lam, pole_sq, eta_sq, bar_sq):
-    # h(L) and h'(L) for a batch of L values; pole_sq = omega_k**2.
-    diff = pole_sq[None, :] - lam[:, None]
-    h = bar_sq - lam - eta_sq * lam * np.sum(1.0 / diff, axis=1)
-    hp = -1.0 - eta_sq * np.sum(pole_sq[None, :] / diff**2, axis=1)
-    return h, hp
+_BISECT_REL_WIDTH = 1e-6
+_DONE_REL = 1e-13
+_MAX_BISECTIONS = 100
+_MAX_NEWTON_STEPS = 60
 
+
+def _bracketed_roots(f, slope, lo, hi):
+    """The root in each bracket [lo, hi] of a function decreasing on it.
+
+    ``f(x, lanes)`` and ``slope(x, lanes)`` evaluate the lanes indexed by
+    ``lanes`` at ``x``; every lane needs f(lo) > 0 > f(hi).  Each lane is
+    bisected to 1e-6 relative width, then polished by Newton steps.  A
+    Newton iterate equal to x is converged; one on or beyond a bracket end
+    is replaced by the bracket midpoint, which also breaks the lo/hi
+    2-cycle that a sign-quantised f can drive Newton into.  A lane stops
+    once its step or its bracket width is at most 1e-13 relative, and only
+    running lanes are evaluated.  Lanes still running after 60 steps raise
+    NumericalFailure.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    lanes = np.arange(lo.size)
+    for _ in range(_MAX_BISECTIONS):
+        a, b = lo[lanes], hi[lanes]
+        wide = b - a > _BISECT_REL_WIDTH * 0.5 * (a + b)
+        lanes = lanes[wide]
+        if lanes.size == 0:
+            break
+        mid = 0.5 * (a[wide] + b[wide])
+        pos = f(mid, lanes) > 0.0
+        lo[lanes[pos]] = mid[pos]
+        hi[lanes[~pos]] = mid[~pos]
+
+    root = 0.5 * (lo + hi)
+    lanes = np.arange(root.size)
+    for _ in range(_MAX_NEWTON_STEPS):
+        x = root[lanes]
+        fx = f(x, lanes)
+        a = np.where(fx > 0.0, x, lo[lanes])
+        b = np.where(fx < 0.0, x, hi[lanes])
+        nxt = x - fx / slope(x, lanes)
+        moved = nxt != x
+        nxt = np.where(moved & ~((nxt > a) & (nxt < b)), 0.5 * (a + b), nxt)
+        root[lanes], lo[lanes], hi[lanes] = nxt, a, b
+        tol = _DONE_REL * np.abs(nxt)
+        lanes = lanes[moved & (np.abs(nxt - x) > tol) & (b - a > tol)]
+        if lanes.size == 0:
+            return root
+    raise NumericalFailure(f"{lanes.size} bracketed roots did not converge")
+
+
+# ---------------------------------------------------------------------------
+# finite-N route
+# ---------------------------------------------------------------------------
 
 def solve_finite_spectrum(spec: OhmicSystemSpec) -> NormalModeSet:
     """Exact N+1 normal modes of the finite bath problem.
 
     Roots are bracketed by the pole interlacing (one per gap of the bath
-    ladder, one below it, one above it), bisected to 1e-6 relative width
-    and polished with safeguarded Newton steps to relative residual 1e-12.
-    Particle weights come for free as -1/h'(root).
+    ladder, one below it, one above it) and found by ``_bracketed_roots``:
+    bisection to 1e-6 relative width, then safeguarded Newton until the
+    step or the bracket is at most 1e-13 relative.  Particle weights come
+    for free as -1/h'(root).
     """
     d = derive_parameters(spec)
     n = spec.n_modes
@@ -175,66 +226,35 @@ def solve_finite_spectrum(spec: OhmicSystemSpec) -> NormalModeSet:
     eta_sq = d.eta**2
     bar_sq = spec.bar_omega**2
 
+    # h(L) and h'(L) for a batch of L values; the lane index is not needed.
+    def secular(lam, _lanes=None):
+        diff = pole_sq - lam[:, None]
+        return bar_sq - lam - eta_sq * lam * np.sum(1.0 / diff, axis=1)
+
+    def slope(lam, _lanes=None):
+        diff = pole_sq - lam[:, None]
+        return -1.0 - eta_sq * np.sum(pole_sq / diff**2, axis=1)
+
     # brackets: (0, p_1), (p_r, p_{r+1}), (p_N, B); offsets of 1e-13 keep
-    # the evaluations off the poles where h has a known sign.
+    # the evaluations off the poles where h has a known sign.  Above the
+    # ladder L/(L - p_k) <= 2 once L >= 2*p_N, so h(L) <= bar_sq +
+    # 2*eta_sq*N - L there, and B = 2*max(p_N, bar_sq + 2*eta_sq*N) has
+    # h(B) < 0.
     lo = np.empty(n + 1)
     hi = np.empty(n + 1)
     lo[0] = bar_sq * 1e-14
     lo[1:] = pole_sq * (1.0 + 1e-13)
     hi[:-1] = pole_sq * (1.0 - 1e-13)
-
-    h_lo, _ = _secular_and_slope(lo[:1], pole_sq, eta_sq, bar_sq)
-    if h_lo[0] <= 0.0:
+    hi[-1] = 2.0 * max(pole_sq[-1], bar_sq + 2.0 * eta_sq * n)
+    if secular(lo[:1])[0] <= 0.0:
         raise StabilityError("secular function is negative at zero frequency")
 
-    # expand the top bracket until h goes negative; h ~ -L guarantees it.
-    width = pole_sq[-1] - pole_sq[-2] if n > 1 else pole_sq[0]
-    top = pole_sq[-1] + 1.5 * width
-    for _ in range(11):
-        h_top, _ = _secular_and_slope(np.array([top]), pole_sq, eta_sq, bar_sq)
-        if h_top[0] < 0.0:
-            break
-        top = pole_sq[-1] + 2.0 * (top - pole_sq[-1])
-    else:
-        raise NumericalFailure("could not bracket the highest normal mode")
-    hi[-1] = top
-
-    # h decreases on every bracket, h(lo) > 0 > h(hi): plain bisection.
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        rel_width = (hi - lo) / mid
-        if np.all(rel_width <= 1e-6):
-            break
-        h_mid, _ = _secular_and_slope(mid, pole_sq, eta_sq, bar_sq)
-        pos = h_mid > 0.0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-
-    lam = 0.5 * (lo + hi)
-    last_step = np.full(n + 1, np.inf)
-    for _ in range(60):
-        h, hp = _secular_and_slope(lam, pole_sq, eta_sq, bar_sq)
-        pos = h > 0.0
-        lo = np.where(pos, lam, lo)
-        hi = np.where(pos, hi, lam)
-        step = h / hp
-        nxt = lam - step
-        outside = (nxt <= lo) | (nxt >= hi)
-        nxt = np.where(outside, 0.5 * (lo + hi), nxt)
-        last_step = np.abs(nxt - lam)
-        lam = nxt
-        if np.all(last_step <= 1e-13 * lam):
-            break
-    if np.any(last_step > 1e-12 * lam):
-        raise NumericalFailure("normal-mode root polish did not reach 1e-12")
+    lam = _bracketed_roots(secular, slope, lo, hi)
     if np.any(lam <= 0.0):
         raise StabilityError("negative squared frequency: no stable ground state")
-
-    _, hp = _secular_and_slope(lam, pole_sq, eta_sq, bar_sq)
-    weights = -1.0 / hp
     return NormalModeSet(
         frequencies=np.sqrt(lam),
-        weights=weights,
+        weights=-1.0 / slope(lam),
         source=ModeSource.FINITE_N,
         spec_snapshot=spec,
     )
@@ -276,7 +296,9 @@ def solve_cavity_spectrum(
     the series identity and matches the finite-N route; the first is the
     published form and is kept as the default.  Each branch is solved in
     the shifted variable s = x - k*pi, where cot is evaluated without
-    precision loss even at k ~ 1e4.
+    precision loss even at k ~ 1e4, by the same kernel and stop rule as the
+    finite route: bisection to 1e-6 relative width, then safeguarded Newton
+    until the step or the bracket is at most 1e-13 relative in s.
     """
     if variant not in _VARIANT_CONSTANTS:
         raise InputError(f"variant must be 'paper' or 'rederived', got {variant!r}")
@@ -288,12 +310,12 @@ def solve_cavity_spectrum(
     c_const = _VARIANT_CONSTANTS[variant] - 2.0 * delta / (math.pi * beta**2)
     k_pi = math.pi * np.arange(k_max + 1, dtype=float)
 
-    def shifted_secular(s):
-        x = k_pi + s
+    def shifted_secular(s, lanes=slice(None)):
+        x = k_pi[lanes] + s
         return np.cos(s) / np.sin(s) - x / (math.pi * delta) - c_const / (2.0 * x)
 
-    def shifted_slope(s):
-        x = k_pi + s
+    def shifted_slope(s, lanes):
+        x = k_pi[lanes] + s
         return -1.0 / np.sin(s) ** 2 - 1.0 / (math.pi * delta) + c_const / (2.0 * x**2)
 
     # endpoint probes: cot blows up to +inf at s -> 0+ and to -inf at
@@ -317,33 +339,8 @@ def solve_cavity_spectrum(
         raise NumericalFailure("no negative endpoint for a cavity branch")
 
     # the secular function decreases strictly on each branch (the cot slope
-    # -1/sin**2 dominates C/(2x**2) because C <= 2 and x >= s), so bisection
-    # cannot stall and Newton only needs a bracket safeguard.
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        pos = shifted_secular(mid) > 0.0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-
-    s = 0.5 * (lo + hi)
-    last_step = np.full(k_max + 1, np.inf)
-    for _ in range(12):
-        f_val = shifted_secular(s)
-        pos = f_val > 0.0
-        lo = np.where(pos, s, lo)
-        hi = np.where(pos, hi, s)
-        step = f_val / shifted_slope(s)
-        nxt = s - step
-        outside = (nxt <= lo) | (nxt >= hi)
-        nxt = np.where(outside, 0.5 * (lo + hi), nxt)
-        last_step = np.abs(nxt - s)
-        s = nxt
-        if np.all(last_step <= 1e-14 * s):
-            break
-    if np.any(last_step > 3e-13 * s):
-        raise NumericalFailure("cavity branch roots did not converge")
-
-    x = k_pi + s
+    # -1/sin**2 dominates C/(2x**2) because C <= 2 and x >= s).
+    x = k_pi + _bracketed_roots(shifted_secular, shifted_slope, lo, hi)
     freq = (2.0 * spec.light_speed / spec.cavity_L) * x
     weights = _mode_weights(d, spec.bar_omega**2, spec.g, freq)
     return NormalModeSet(

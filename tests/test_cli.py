@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -224,6 +225,15 @@ def test_validate_command(tmp_path, capsys):
     rc, silent, _ = run_cli(capsys, "validate", "--out", str(target))
     assert rc == 0 and silent == ""
     assert target.read_text(encoding="utf-8") == out
+
+
+def test_validate_refuses_large_baths_at_once(capsys):
+    # the dense Jacobi check would take seconds at n_modes = 401; the cap
+    # must refuse before any of that work starts
+    start = time.perf_counter()
+    rc, _, err = run_cli(capsys, "validate", "--n-modes", "401")
+    assert time.perf_counter() - start < 2.0
+    assert rc == 1 and "capped at n_modes = 400" in err
 
 
 def test_metadata_round_trip(capsys):

@@ -96,7 +96,7 @@ def test_dense_mode_set_matches_secular_route():
 
 
 def test_dense_route_mode_cap():
-    big = OhmicSystemSpec(bar_omega=1.0, g=0.3, cavity_L=1.0, n_modes=2001,
+    big = OhmicSystemSpec(bar_omega=1.0, g=0.3, cavity_L=1.0, n_modes=401,
                           light_speed=1.0)
     with pytest.raises(InputError):
         mode_set_from_dense(big)

@@ -14,6 +14,7 @@ from dressedbath import (
     ParameterError,
     SingularityError,
     approx_small_L_spectrum,
+    build_potential_matrix,
     cavity_smallness_factor,
     cot_series_closed_form,
     derive_parameters,
@@ -57,6 +58,9 @@ SPEC_GRID = [
     OhmicSystemSpec(bar_omega=1.0, g=0.05, cavity_L=1.0, n_modes=7, light_speed=1.0),
     OhmicSystemSpec(bar_omega=1.0, g=2.0, cavity_L=3.0, n_modes=25, light_speed=1.0),
     OhmicSystemSpec(bar_omega=5.0, g=50.0, cavity_L=0.1, n_modes=60, light_speed=1.0),
+    # ladder top far below bar_omega: the top root sits well above the ladder
+    OhmicSystemSpec.from_dimensionless(beta=0.001, delta=0.5, n_modes=1),
+    OhmicSystemSpec.from_dimensionless(beta=0.001, delta=0.5, n_modes=7),
 ]
 
 
@@ -72,10 +76,39 @@ def test_roots_interlace_the_bath_ladder(spec):
 
 
 @pytest.mark.parametrize("spec", SPEC_GRID)
+def test_roots_match_dense_eigenvalues(spec):
+    m = build_potential_matrix(spec).entries
+    lam = solve_finite_spectrum(spec).frequencies ** 2
+    bound = np.finfo(float).eps * np.linalg.norm(m, 2) * (spec.n_modes + 1)
+    assert np.max(np.abs(lam - np.linalg.eigvalsh(m))) <= bound
+
+
+@pytest.mark.parametrize("spec", SPEC_GRID)
 def test_particle_weights_sum_to_one(spec):
     modes = solve_finite_spectrum(spec)
     assert abs(modes.weights.sum() - 1.0) < 1e-12
     assert np.all(modes.weights > 0.0)
+
+
+def test_weights_match_high_precision():
+    # -1/h'(root) against the same expression at 50-digit roots, on lanes
+    # at both ends of the spectrum and near the ladder top
+    spec = OhmicSystemSpec.from_dimensionless(
+        beta=0.22661737992930092, delta=3.5863648245494297, n_modes=500)
+    modes = solve_finite_spectrum(spec)
+    d = derive_parameters(spec)
+    with mp.workdps(50):
+        poles = [(mp.mpf(d.delta_omega) * k) ** 2 for k in range(1, 501)]
+        eta_sq = mp.mpf(d.eta) ** 2
+        bar_sq = mp.mpf(spec.bar_omega) ** 2
+
+        def secular(lam):
+            return bar_sq - lam - eta_sq * lam * mp.fsum(1 / (p - lam) for p in poles)
+
+        for lane in (0, 1, 250, 493, 499, 500):
+            lam = mp.findroot(secular, mp.mpf(modes.frequencies[lane]) ** 2)
+            ref = 1 / (1 + eta_sq * mp.fsum(p / (p - lam) ** 2 for p in poles))
+            assert modes.weights[lane] == pytest.approx(float(ref), rel=5e-11, abs=0.0)
 
 
 def test_strong_coupling_spectrum_stays_stable():
@@ -114,6 +147,19 @@ def test_cavity_roots_match_high_precision(beta, delta, variant, base):
     for k in (0, 1, 7, 100):
         ref = scale * _cavity_root_highprec(k, mp.mpf(delta), mp.mpf(c_const))
         assert modes.frequencies[k] == pytest.approx(ref, rel=1e-12)
+
+
+def test_quantised_branch_root_converges():
+    # f on branch 0 is quantised to about 1e-12 here, so Newton can land on
+    # a bracket end or stall short of a 1e-13 step; the branch must still
+    # stop, at a root only as sharp as that quantisation allows
+    beta, delta = 2.94964, 2.8e-4
+    spec = OhmicSystemSpec.from_dimensionless(beta=beta, delta=delta)
+    modes = solve_cavity_spectrum(spec, k_max=50, variant="rederived")
+    c_const = 2.0 - 2.0 * delta / (math.pi * beta**2)
+    scale = 2.0 * spec.light_speed / spec.cavity_L
+    ref = scale * _cavity_root_highprec(0, mp.mpf(delta), mp.mpf(c_const))
+    assert modes.frequencies[0] == pytest.approx(ref, rel=1e-10)
 
 
 def test_cavity_root_count_and_interlacing():
