@@ -7,10 +7,11 @@ survival amplitude:
     q(t) = sqrt(2*hbar*n_bar/bar_omega) * Re[exp(-i*theta) * f00(t)].
 
 ``classical_path`` applies that projection to any precomputed amplitude
-series; ``path_closed_forms`` writes it out per damping regime through the
-pole terms and the branch-cut integral J(t), which is where the algebraic
-structure (damped trig envelope plus a sin(theta)-weighted power-law tail)
-is visible.
+series; ``path_closed_forms`` applies it to ``f00_closed``, and its
+docstring writes the result out per damping regime through the pole terms
+and the branch-cut integral J(t), which is where the algebraic structure
+(damped trig envelope plus a sin(theta)-weighted power-law tail) is
+visible.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import AmplitudeSeries, _j_analytic, _validate_times
+from .amplitudes import AmplitudeSeries, _validate_times, f00_closed
 from .errors import DimensionMismatch, InputError
-from .model import OhmicSystemSpec, RegimeKind, classify_regime
+from .model import OhmicSystemSpec
 
 __all__ = ["CoherentPreparation", "classical_path", "path_closed_forms"]
 
@@ -76,36 +77,7 @@ def path_closed_forms(
             - (pi*g/kappa)*sin(kappa*t + theta)] * e^{-pi*g*t/2}
             + 2*sin(theta)*J(t) )
     Critical and overdamped replace the bracket by twice the cosine-weighted
-    pole term.  Identical to classical_path over f00_closed by construction;
-    kept separate so the J-free theta = 0 sections stay visible.
+    pole term.  This is classical_path over f00_closed, which is how it is
+    computed; the written-out form shows the J-free theta = 0 sections.
     """
-    t = _validate_times(times)
-    regime = classify_regime(spec)
-    a = 0.5 * math.pi * spec.g
-    theta = prep.theta
-    pos = t > 0.0
-    j_vals = np.empty(t.shape)
-    if pos.any():
-        j_vals[pos] = _j_analytic(spec, t[pos])
-
-    if regime.kind is RegimeKind.UNDERDAMPED:
-        kappa = regime.kappa_abs
-        j_vals[~pos] = a / kappa
-        envelope = (
-            2.0 * np.cos(kappa * t + theta)
-            - (2.0 * a / kappa) * np.sin(kappa * t + theta)
-        ) * np.exp(-a * t)
-        bracket = envelope + 2.0 * math.sin(theta) * j_vals
-        return math.sqrt(spec.hbar * prep.n_bar / (2.0 * spec.bar_omega)) * bracket
-
-    j_vals[~pos] = 0.0
-    if regime.kind is RegimeKind.CRITICAL:
-        pole = (1.0 - a * t) * np.exp(-a * t)
-    else:
-        kabs = regime.kappa_abs
-        y_fast = a + kabs
-        y_slow = spec.bar_omega**2 / y_fast
-        pole = (y_fast * np.exp(-y_fast * t) - y_slow * np.exp(-y_slow * t)) / (
-            2.0 * kabs
-        )
-    return _scale(spec, prep) * (math.cos(theta) * pole + math.sin(theta) * j_vals)
+    return classical_path(spec, prep, times, f00_closed(spec, times))

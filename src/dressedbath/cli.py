@@ -243,7 +243,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         modes = _spectrum.solve_finite_spectrum(spec)
         freqs, weights = modes.frequencies, modes.weights
     elif route == "cavity":
-        variant = cfg.get("eq11_variant", "paper")
+        variant = cfg.get("eq11_variant", "rederived")
         modes = _spectrum.solve_cavity_spectrum(spec, k_max=k_max, variant=variant)
         freqs, weights = modes.frequencies, modes.weights
         extras += [("k_max", k_max), ("eq11_variant", variant)]
@@ -321,7 +321,7 @@ def cmd_cavity(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     spec = build_spec(cfg)
     regime = cfg.get("regime", "weak")
-    variant = cfg.get("eq11_variant", "paper")
+    variant = cfg.get("eq11_variant", "rederived")
     k_max = cfg.get("k_max", 2000)
     times = _time_grid(cfg, spec)
     modes = _spectrum.solve_cavity_spectrum(spec, k_max=k_max, variant=variant)

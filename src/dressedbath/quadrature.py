@@ -2,15 +2,26 @@
 
 The decay-amplitude integrals need three things scipy.integrate.quad does
 not give directly: vectorized evaluation over many panels at once (the
-oscillation cap for e^{-i w t} produces thousands of panels per time point),
-complex integrands, and full control of the panel boundaries so structural
-breakpoints (resonance peak, phase-cap grid) land exactly on panel edges.
-So the classic 15-point Kronrod rule with its embedded 7-point Gauss rule
-is implemented here on explicit panel arrays.
+oscillation cap for e^{-i w t} produces hundreds to thousands of panels per
+time point), complex integrands, and full control of the panel boundaries
+so structural breakpoints (resonance peak, phase-cap grid) land exactly on
+panel edges.  So the classic 15-point Kronrod rule with its embedded
+7-point Gauss rule (QUADPACK's dqk15) is implemented here on explicit
+panel arrays.
 
 Error model: per panel err = |K15 - G7|.  For smooth panels this estimates
 the *Gauss* error, which dominates the Kronrod error by orders of
-magnitude, so the estimate is deliberately conservative.
+magnitude, so the estimate is deliberately conservative.  On a panel half
+a period of e^{-i w t} wide the G7 error is ~6e-13 of the panel's integral
+of |e^{-i w t}| and the K15 error is at rounding level; over a full period
+G7 is off by ~8e-9, so refinement would split such panels again.  That is
+why callers cap Fourier panels at half a period.
+
+``adaptive_gk(func, edges_per_time, tol, times=t)`` integrates
+func(w)*exp(-i*w*t_k) for many times in one pass: the phase is applied per
+panel, while refinement, tolerance and the left-to-right summation stay
+per time, so a time's value is bit-identical whichever times share its
+call.  func stays a one-argument vectorized function of w.
 
 The principal-value helper maps PV int_{p-h}^{p+h} phi(y)/(y-p) dy onto the
 ordinary integral int_0^h [phi(p+s) - phi(p-s)]/s ds of a smooth (even
@@ -48,17 +59,32 @@ _GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 _WG = np.concatenate((_WG_HALF[:3], _WG_HALF[3:4], _WG_HALF[2::-1]))
 
 
-def _eval_panels(func, lefts, rights):
+def _eval_panels(func, lefts, rights, freqs=None):
     centers = 0.5 * (lefts + rights)
     halves = 0.5 * (rights - lefts)
     nodes = centers[:, None] + halves[:, None] * _NODES[None, :]
     fvals = np.asarray(func(nodes.ravel())).reshape(nodes.shape)
-    kron = halves * (fvals @ _WGK)
-    gauss = halves * (fvals[:, _GAUSS_IDX] @ _WG)
+    if freqs is not None:
+        # e^{-i w t} at w = c + h*x is e^{-i c t} e^{-i h t x}, and the nodes
+        # pair up as +-x, so 8 complex exponentials per panel give all 15
+        pair = np.exp(-1j * (halves * freqs)[:, None] * _XGK_HALF[None, :7])
+        phase = np.empty(nodes.shape, dtype=complex)
+        np.conjugate(pair, out=phase[:, :7])
+        phase[:, 7] = 1.0
+        phase[:, 8:] = pair[:, ::-1]
+        phase *= np.exp(-1j * centers * freqs)[:, None]
+        phase *= fvals
+        fvals = phase
+    # einsum, not a BLAS matrix-vector product: BLAS rounds a lone row
+    # differently from the same row among others, and a panel's value must
+    # not depend on which panels share the batch.
+    kron = halves * np.einsum("ij,j->i", fvals, _WGK)
+    gauss = halves * np.einsum("ij,j->i", fvals[:, _GAUSS_IDX], _WG)
     return kron, np.abs(kron - gauss)
 
 
-def adaptive_gk(func, edges, tol_abs, max_panels=200000, max_rounds=40):
+def adaptive_gk(func, edges, tol_abs, max_panels=200000, max_rounds=40,
+                times=None):
     """Integrate func over [edges[0], edges[-1]] with adaptive bisection.
 
     func must accept a 1d array and return values elementwise (real or
@@ -67,46 +93,86 @@ def adaptive_gk(func, edges, tol_abs, max_panels=200000, max_rounds=40):
     estimate drops below tol_abs or the budget runs out.  Returns
     (value, error_estimate); the caller decides whether a missed tolerance
     is fatal.  Raises NumericalFailure on non-finite integrand values.
+
+    With ``times`` (a 1d array) the call integrates func(w)*exp(-i*w*t_k)
+    for every t_k at once: ``edges`` then holds one edge list per time and
+    ``tol_abs`` is one tolerance or one per time, and the return value is
+    the pair of arrays (values, error_estimates).  Tolerance, panel budget,
+    refinement and summation stay per time, so each result is bit-identical
+    to a call with that time alone.
     """
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
+    groups = [np.asarray(e, dtype=float) for e in ([edges] if times is None else edges)]
+    if times is not None:
+        times = np.asarray(times, dtype=float)
+        if times.shape != (len(groups),):
+            raise NumericalFailure("need exactly one edge list per time")
+    sizes = np.array([e.size if e.ndim == 1 else 0 for e in groups])
+    if np.any(sizes < 2):
         raise NumericalFailure("panel edges must be strictly increasing")
-    lefts = edges[:-1].copy()
-    rights = edges[1:].copy()
-    vals, errs = _eval_panels(func, lefts, rights)
+    n_groups = len(groups)
+    tol = np.broadcast_to(np.asarray(tol_abs, dtype=float), (n_groups,))
+    flat = np.concatenate(groups)
+    is_left = np.ones(flat.size, dtype=bool)
+    is_left[np.cumsum(sizes) - 1] = False
+    lefts = flat[is_left]
+    rights = flat[np.flatnonzero(is_left) + 1]
+    if np.any(rights <= lefts):
+        raise NumericalFailure("panel edges must be strictly increasing")
+    owner = np.repeat(np.arange(n_groups), sizes - 1)
+
+    def evaluate(lo, hi, who):
+        return _eval_panels(func, lo, hi, None if times is None else times[who])
+
+    vals, errs = evaluate(lefts, rights, owner)
     for _ in range(max_rounds):
         if not np.all(np.isfinite(errs)):
             raise NumericalFailure("integrand produced non-finite values")
-        if errs.sum() <= tol_abs or lefts.size >= max_panels:
+        count = np.bincount(owner, minlength=n_groups)
+        open_ = (np.bincount(owner, errs, n_groups) > tol) & (count < max_panels)
+        if not open_.any():
             break
-        # every panel below tol/(2n) is fine as is; if all were, the total
-        # would already be under tol/2, so at least one panel splits here.
-        bad = errs > tol_abs / (2.0 * lefts.size)
+        # every panel below tol/(2n) is fine as is; if all of an open
+        # group's were, its total would already be under tol/2, so at least
+        # one of its panels splits here.
+        bad = open_[owner] & (errs > (tol / (2.0 * count))[owner])
         mids = 0.5 * (lefts[bad] + rights[bad])
         new_lefts = np.concatenate((lefts[bad], mids))
         new_rights = np.concatenate((mids, rights[bad]))
-        new_vals, new_errs = _eval_panels(func, new_lefts, new_rights)
+        new_owner = np.concatenate((owner[bad], owner[bad]))
+        new_vals, new_errs = evaluate(new_lefts, new_rights, new_owner)
         lefts = np.concatenate((lefts[~bad], new_lefts))
         rights = np.concatenate((rights[~bad], new_rights))
+        owner = np.concatenate((owner[~bad], new_owner))
         vals = np.concatenate((vals[~bad], new_vals))
         errs = np.concatenate((errs[~bad], new_errs))
     if not np.all(np.isfinite(vals)):
         raise NumericalFailure("integrand produced non-finite values")
-    # canonical summation order: left to right, independent of the split
-    # history, so identical inputs give bit-identical sums.
-    order = np.argsort(lefts, kind="stable")
-    return vals[order].sum(), float(errs.sum())
+    # canonical summation order: left to right within each group,
+    # independent of the split history and of the other groups, so
+    # identical inputs give bit-identical sums.
+    vals = vals[np.lexsort((lefts, owner))]
+    ends = np.cumsum(np.bincount(owner, minlength=n_groups)).tolist()
+    values = np.array([vals[a:b].sum() for a, b in zip([0] + ends[:-1], ends)])
+    errors = np.bincount(owner, errs, n_groups)
+    if times is None:
+        return values[0], float(errors[0])
+    return values, errors
 
 
 def split_to_width(edges, max_width):
-    """Refine a boundary list so no panel is wider than max_width."""
+    """Refine a boundary list so no panel is wider than max_width.
+
+    max_width is one width or one per gap.  Each gap is cut into n equal
+    parts at left + i*step, step = (right - left)/n, the same arithmetic as
+    np.linspace; a gap that is not positive stays one part.
+    """
     edges = np.asarray(edges, dtype=float)
-    pieces = []
-    for left, right in zip(edges[:-1], edges[1:]):
-        n_sub = max(int(np.ceil((right - left) / max_width)), 1)
-        pieces.append(np.linspace(left, right, n_sub + 1)[:-1])
-    pieces.append(edges[-1:])
-    return np.concatenate(pieces)
+    lefts = edges[:-1]
+    widths = edges[1:] - lefts
+    n_sub = np.maximum(np.ceil(widths / max_width).astype(int), 1)
+    gap = np.repeat(np.arange(lefts.size), n_sub)
+    i = np.arange(gap.size) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
+    return np.concatenate((lefts[gap] + i * (widths / n_sub)[gap], edges[-1:]))
 
 
 def principal_value(phi, pole, half_width, tol_abs):

@@ -281,7 +281,7 @@ def _mode_weights(d: DerivedParams, bar_sq: float, g: float, omega):
 
 
 def solve_cavity_spectrum(
-    spec: OhmicSystemSpec, k_max: int = 10000, variant: str = "paper"
+    spec: OhmicSystemSpec, k_max: int = 10000, variant: str = "rederived"
 ) -> NormalModeSet:
     """Cavity normal modes from the cotangent spectral condition.
 
@@ -293,12 +293,13 @@ def solve_cavity_spectrum(
         variant="rederived":  C = 2 - 2*delta/(pi*beta**2)
 
     The second follows from collapsing the finite-N secular function with
-    the series identity and matches the finite-N route; the first is the
-    published form and is kept as the default.  Each branch is solved in
-    the shifted variable s = x - k*pi, where cot is evaluated without
-    precision loss even at k ~ 1e4, by the same kernel and stop rule as the
-    finite route: bisection to 1e-6 relative width, then safeguarded Newton
-    until the step or the bracket is at most 1e-13 relative in s.
+    the series identity and matches the finite-N route, and is the
+    default; the first is the published form, kept to reproduce the
+    publication.  Each branch is solved in the shifted variable
+    s = x - k*pi, where cot is evaluated without precision loss even at
+    k ~ 1e4, by the same kernel and stop rule as the finite route:
+    bisection to 1e-6 relative width, then safeguarded Newton until the
+    step or the bracket is at most 1e-13 relative in s.
     """
     if variant not in _VARIANT_CONSTANTS:
         raise InputError(f"variant must be 'paper' or 'rederived', got {variant!r}")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dressedbath import (
     AmplitudeMethod,
@@ -170,13 +172,50 @@ def test_quadrature_sum_rule_at_t_zero():
     assert abs(series.values[0] - 1.0) < 1e-9
 
 
-@pytest.mark.parametrize("g", [0.3, 10.0])
+BETAS = [1.0 / 137, 0.01, 0.3, 2.0 / math.pi, 3.0, 10.0, 30.0]
+
+
+def _unit_spec(g):
+    return OhmicSystemSpec(bar_omega=1.0, g=g, cavity_L=1.0, light_speed=1.0)
+
+
+@pytest.mark.parametrize("g", [0.01, 2.0 / math.pi, 8.5])
+def test_quadrature_values_do_not_depend_on_the_batch(g):
+    spec = _unit_spec(g)
+    t = np.linspace(0.0, 60.0, 97)
+    full = f00_quadrature(spec, t).values
+    for k in range(t.size):
+        assert f00_quadrature(spec, t[[k]]).values[0] == full[k]
+    for start in range(0, t.size, 64):
+        chunk = f00_quadrature(spec, t[start : start + 64]).values
+        assert np.array_equal(chunk, full[start : start + 64])
+
+
+@pytest.mark.parametrize("g", BETAS)
 def test_closed_form_matches_quadrature(g):
-    spec = OhmicSystemSpec(bar_omega=1.0, g=g, cavity_L=1.0, light_speed=1.0)
-    t = np.geomspace(0.01, 30.0, 12)
-    closed = f00_closed(spec, t)
-    quad = f00_quadrature(spec, t)
-    assert np.max(np.abs(closed.values - quad.values)) < 1e-8
+    spec = _unit_spec(g)
+    extreme = np.array([1e-7, 1e-5, 1e-3, 0.1, 10.0, 200.0, 500.0])
+    for t in (np.geomspace(1e-3, 200.0, 60), np.linspace(0.0, 100.0, 101), extreme):
+        closed = f00_closed(spec, t)
+        quad = f00_quadrature(spec, t)
+        assert np.max(np.abs(closed.values - quad.values)) <= 5e-10
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    log_kappa=st.floats(-13.0, -3.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    bar_omega=st.floats(0.2, 5.0),
+)
+def test_closed_form_matches_quadrature_across_the_critical_band(
+        log_kappa, sign, bar_omega):
+    # kappa**2 = sign * 10**log_kappa * bar_omega**2 spans both sides of the
+    # critical band |kappa**2| <= 1e-9 * bar_omega**2 and the band itself
+    g = 2.0 / math.pi * bar_omega * math.sqrt(1.0 - sign * 10.0**log_kappa)
+    spec = OhmicSystemSpec(bar_omega=bar_omega, g=g, cavity_L=1.0, light_speed=1.0)
+    t = np.geomspace(1e-3, 60.0, 24) / bar_omega
+    gap = np.abs(f00_quadrature(spec, t).values - f00_closed(spec, t).values)
+    assert gap.max() <= 5e-10
 
 
 def test_amplitude_is_continuous_across_the_critical_point():

@@ -63,14 +63,16 @@ def test_spectrum_cavity_route_lowest_mode(capsys):
     base = ("spectrum", "--route", "cavity", "--bar-omega", "1.0",
             "--beta", WEAK_BETA, "--delta", "0.005", "--light-speed", "1.0",
             "--k-max", "100")
-    rc, out, _ = run_cli(capsys, *base)
+    rc, out, _ = run_cli(capsys, *base, "--eq11-variant", "paper")
     assert rc == 0
     rows = data_rows(out)
     assert rows.shape[0] == 101
     assert rows[0, 1] == pytest.approx(1.005618100726249, rel=1e-12)
-    rc, out, _ = run_cli(capsys, *base, "--eq11-variant", "rederived")
-    assert rc == 0
-    assert data_rows(out)[0, 1] == pytest.approx(0.997307665638838, rel=1e-12)
+    for variant in ((), ("--eq11-variant", "rederived")):
+        rc, out, _ = run_cli(capsys, *base, *variant)
+        assert rc == 0
+        assert data_rows(out)[0, 1] == pytest.approx(0.997307665638838, rel=1e-12)
+        assert "# eq11_variant: rederived" in out
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

@@ -95,3 +95,66 @@ def test_principal_value_matches_sinh_integral():
 def test_principal_value_rejects_empty_window():
     with pytest.raises(NumericalFailure):
         principal_value(np.exp, 0.0, 0.0, 1e-9)
+
+
+def _split_by_linspace(edges, max_width):
+    # the per-gap definition split_to_width must reproduce bit for bit
+    edges = np.asarray(edges, dtype=float)
+    pieces = []
+    for left, right in zip(edges[:-1], edges[1:]):
+        n_sub = max(int(np.ceil((right - left) / max_width)), 1)
+        pieces.append(np.linspace(left, right, n_sub + 1)[:-1])
+    pieces.append(edges[-1:])
+    return np.concatenate(pieces)
+
+
+def test_split_to_width_matches_linspace_definition():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(rng.integers(2, 30))
+        edges = np.cumsum(rng.exponential(1.0, n) * 10.0 ** rng.uniform(-3, 3, n))
+        width = 10.0 ** rng.uniform(-3, 2)
+        new = split_to_width(edges, width)
+        assert np.array_equal(new, _split_by_linspace(edges, width))
+
+
+def test_batched_fourier_call_matches_scalar_calls():
+    times = np.array([0.3, 4.0, 25.0])
+    edges = [np.linspace(0.0, 10.0, 3 + 5 * k) for k in range(times.size)]
+    vals, errs = adaptive_gk(lambda w: 1.0 / (1.0 + w * w), edges, 1e-12, times=times)
+    for t, e, v, err in zip(times, edges, vals, errs):
+        ref, ref_err = adaptive_gk(
+            lambda w: 1.0 / (1.0 + w * w) * np.exp(-1j * w * t), e, 1e-12)
+        assert v == pytest.approx(ref, abs=1e-15)
+        assert err == pytest.approx(ref_err, abs=1e-15)
+
+
+def test_batched_fourier_call_of_a_constant():
+    times = np.array([1e-3, 0.5, 1.0, 7.0, 40.0])
+    edges = [split_to_width([0.0, 1.0], math.pi / t) for t in times]
+    vals, errs = adaptive_gk(np.ones_like, edges, 1e-13, times=times)
+    # (1 - e^{-it})/(it), written as e^{-it/2} sin(t/2)/(t/2) so it does
+    # not cancel at small t
+    exact = np.exp(-0.5j * times) * np.sinc(times / (2.0 * math.pi))
+    assert np.max(np.abs(vals - exact)) < 2e-15
+    assert np.all(errs <= 1e-13)
+
+
+def test_batched_refinement_is_per_time():
+    # the spike forces refinement at every time; each time's result must
+    # not depend on which other times share the call
+    spike = lambda w: 1.0 / ((w - 0.3) ** 2 + 1e-6)  # noqa: E731
+    times = np.array([0.1, 3.0, 50.0])
+    edges = [[0.0, 1.0], [0.0, 0.5, 1.0], np.linspace(0.0, 1.0, 9)]
+    vals, errs = adaptive_gk(spike, edges, [1e-9, 1e-8, 1e-7], times=times)
+    for k, tol in enumerate([1e-9, 1e-8, 1e-7]):
+        alone, alone_err = adaptive_gk(spike, edges[k:k + 1], tol, times=times[k:k + 1])
+        assert vals[k] == alone[0] and errs[k] == alone_err[0]
+        assert errs[k] <= tol
+
+
+def test_batched_call_needs_one_edge_list_per_time():
+    with pytest.raises(NumericalFailure):
+        adaptive_gk(np.exp, [[0.0, 1.0]], 1e-9, times=[1.0, 2.0])
+    with pytest.raises(NumericalFailure):
+        adaptive_gk(np.exp, [[0.0, 1.0], [1.0, 0.0]], 1e-9, times=[1.0, 2.0])
