@@ -70,8 +70,9 @@ __all__ = [
 
 _QUAD_TARGET = 1e-9
 _QUAD_HARD_LIMIT = 1e-7
-_TIME_CHUNK = 256
+_BLOCK_ELEMENTS = 2**18
 _BATCH_PANELS = 4096
+_MAX_PANELS = 2**20
 
 
 class AmplitudeMethod(Enum):
@@ -132,6 +133,23 @@ def _validate_times(times) -> np.ndarray:
 # discrete sum
 # ---------------------------------------------------------------------------
 
+def _phase_sums(freq: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # sum_j weights[j] * exp(-i*freq[j]*t) at each time, on blocks of about
+    # _BLOCK_ELEMENTS phases so memory stays bounded for any mode count.
+    # numpy reduces each row of a contiguous block on its own, pairwise, so
+    # a value does not depend on which times share its call or block.  A
+    # BLAS product rounds a row by the rows beside it, and einsum switches
+    # kernels between one long row and several; neither is batch-invariant.
+    step = max(1, _BLOCK_ELEMENTS // freq.size)
+    out = np.empty(t.shape, dtype=complex)
+    for start in range(0, t.size, step):
+        block = t[start : start + step]
+        terms = np.exp(-1j * block[:, None] * freq[None, :])
+        terms *= weights
+        out[start : start + step] = terms.sum(axis=1)
+    return out
+
+
 def f00_discrete(modes: NormalModeSet, weights, times) -> AmplitudeSeries:
     """Survival amplitude as an explicit weighted phase sum.
 
@@ -147,15 +165,9 @@ def f00_discrete(modes: NormalModeSet, weights, times) -> AmplitudeSeries:
         raise InputError("weights must be positive")
     if w.sum() > 1.0 + 1e-8:
         raise InputError("weights must sum to at most 1")
-    values = np.empty(t.shape, dtype=complex)
-    for start in range(0, t.size, _TIME_CHUNK):
-        block = t[start : start + _TIME_CHUNK]
-        values[start : start + _TIME_CHUNK] = (
-            np.exp(-1j * block[:, None] * modes.frequencies[None, :]) @ w
-        )
     return AmplitudeSeries(
         times=t,
-        values=values,
+        values=_phase_sums(modes.frequencies, w, t),
         method=AmplitudeMethod.DISCRETE_SUM,
         regime=classify_regime(modes.spec_snapshot),
         spec_snapshot=modes.spec_snapshot,
@@ -261,6 +273,12 @@ def _f00_oscillating(bar_omega: float, g: float, t: np.ndarray):
     # consecutive times share an adaptive pass until it holds about
     # _BATCH_PANELS initial panels
     n_panels = head_edges.size + w_tail * t / math.pi
+    if n_panels.max() > _MAX_PANELS:
+        raise InputError(
+            f"t = {t.max():.6g} needs {n_panels.max():.3g} quadrature panels, "
+            f"more than the {_MAX_PANELS} that fit in about 0.7 GB; keep t "
+            f"below {(_MAX_PANELS - head_edges.size) * math.pi / w_top:.6g} for this spec"
+        )
     batch = (np.cumsum(n_panels) - n_panels) // _BATCH_PANELS
     head = np.empty(t.shape, dtype=complex)
     err_h = np.empty(t.shape)
@@ -286,16 +304,19 @@ def f00_quadrature(spec: OhmicSystemSpec, times) -> AmplitudeSeries:
 
     Aims at 1e-9 absolute accuracy per time point and raises
     NumericalFailure if the internal error estimate ever exceeds 1e-7.
+    Work and memory per time point grow as t*(4*bar_omega + 4*pi*g)/pi
+    initial panels; a time that needs more than 2**20 of them raises
+    InputError before any quadrature runs.
     """
     t_arr = _validate_times(times)
     values = np.empty(t_arr.shape, dtype=complex)
     errors = np.empty(t_arr.shape)
     zero = t_arr == 0.0
-    if zero.any():
-        values[zero], errors[zero] = _f00_at_zero(spec.bar_omega, spec.g)
     pos = ~zero
     if pos.any():
         values[pos], errors[pos] = _f00_oscillating(spec.bar_omega, spec.g, t_arr[pos])
+    if zero.any():
+        values[zero], errors[zero] = _f00_at_zero(spec.bar_omega, spec.g)
     worst = errors.max()
     if worst > _QUAD_HARD_LIMIT:
         raise NumericalFailure(
@@ -532,13 +553,7 @@ def cavity_survival_series(weights, frequencies, times) -> np.ndarray:
     if w0 <= 0.0 or np.any(wk <= 0.0):
         raise InputError("weights must be positive")
     t = _validate_times(times)
-    out = np.empty(t.shape)
-    for start in range(0, t.size, _TIME_CHUNK):
-        block = t[start : start + _TIME_CHUNK]
-        amp = w0 * np.exp(-1j * freq[0] * block)
-        amp += np.exp(-1j * block[:, None] * freq[None, 1:]) @ wk
-        out[start : start + _TIME_CHUNK] = np.abs(amp) ** 2
-    return out
+    return np.abs(_phase_sums(freq, np.concatenate(([w0], wk)), t)) ** 2
 
 
 def cavity_min_bound(delta: float, regime: str) -> CavitySurvivalBound:

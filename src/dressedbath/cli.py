@@ -9,8 +9,9 @@ failure.
 Config files are flat UTF-8 ``key=value`` lines with ``#`` comments;
 command-line flags override file values.  Exactly one of {g, beta} and
 one of {cavity_L, delta} must be given.  The ``DRESSED_THREADS``
-environment variable caps worker threads; chunking is fixed-size so the
-output bytes never depend on the thread count.
+environment variable is accepted and must be an integer, but it no longer
+changes the work or the output: every route computes each time point
+independently of the others, in one call over the whole grid.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -54,8 +54,6 @@ _CHOICE_KEYS = {
     "out": None,
 }
 _ALL_KEYS = tuple(sorted(_FLOAT_KEYS | _INT_KEYS | set(_CHOICE_KEYS)))
-
-_TIME_CHUNK = 64  # fixed so output never depends on DRESSED_THREADS
 
 
 # ---------------------------------------------------------------------------
@@ -153,22 +151,12 @@ def _time_grid(cfg: dict, spec: OhmicSystemSpec) -> np.ndarray:
 
 
 def _thread_count() -> int:
+    # DRESSED_THREADS is still validated, but no route runs on threads
     raw = os.environ.get("DRESSED_THREADS", "1")
     try:
-        n = int(raw)
+        return int(raw)
     except ValueError:
         raise InputError(f"DRESSED_THREADS must be an integer, got {raw!r}") from None
-    return max(1, min(n, 64))
-
-
-def _chunked_values(fn, times: np.ndarray, threads: int) -> np.ndarray:
-    chunks = [times[i : i + _TIME_CHUNK] for i in range(0, times.size, _TIME_CHUNK)]
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(fn, chunks))
-    else:
-        parts = [fn(chunk) for chunk in chunks]
-    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +253,14 @@ def cmd_decay(args: argparse.Namespace) -> int:
     spec = build_spec(cfg)
     method = cfg.get("method", "closed")
     times = _time_grid(cfg, spec)
+    _thread_count()
     if method == "closed":
-        fn = lambda ts: _amp.f00_closed(spec, ts).values
+        values = _amp.f00_closed(spec, times).values
     elif method == "quadrature":
-        fn = lambda ts: _amp.f00_quadrature(spec, ts).values
+        values = _amp.f00_quadrature(spec, times).values
     else:
         modes = _spectrum.solve_finite_spectrum(spec)
-        fn = lambda ts: _amp.f00_discrete(modes, modes.weights, ts).values
-    values = _chunked_values(fn, times, _thread_count())
+        values = _amp.f00_discrete(modes, modes.weights, times).values
     extras = [
         ("method", method),
         ("grid", f"t_max={times[-1]:.17g} samples={times.size}"),
@@ -294,18 +282,15 @@ def cmd_brownian(args: argparse.Namespace) -> int:
     )
     method = cfg.get("method", "closed")
     times = _time_grid(cfg, spec)
+    _thread_count()
     if method == "closed":
-        fn = lambda ts: _brownian.path_closed_forms(spec, prep, ts)
+        series = _amp.f00_closed(spec, times)
     elif method == "quadrature":
-        fn = lambda ts: _brownian.classical_path(
-            spec, prep, ts, _amp.f00_quadrature(spec, ts)
-        )
+        series = _amp.f00_quadrature(spec, times)
     else:
         modes = _spectrum.solve_finite_spectrum(spec)
-        fn = lambda ts: _brownian.classical_path(
-            spec, prep, ts, _amp.f00_discrete(modes, modes.weights, ts)
-        )
-    positions = _chunked_values(fn, times, _thread_count())
+        series = _amp.f00_discrete(modes, modes.weights, times)
+    positions = _brownian.classical_path(spec, prep, times, series)
     extras = [
         ("method", method),
         ("preparation", f"n_bar={prep.n_bar:.17g} theta={prep.theta:.17g}"),

@@ -1,6 +1,8 @@
 """Decay amplitude routes, the branch-cut integral and cavity bounds."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from dressedbath import (
     solve_finite_spectrum,
     survival_probability,
 )
+from dressedbath import amplitudes
 
 ANY_SPEC = OhmicSystemSpec(bar_omega=1.0, g=0.1, cavity_L=1.0, light_speed=1.0)
 
@@ -44,9 +47,10 @@ def test_discrete_sum_two_mode_hand_case():
     assert np.allclose(survival_probability(series), np.abs(ref) ** 2)
 
 
-def test_discrete_sum_chunk_seam():
-    # grids longer than the internal chunk must match the one-shot matmul,
-    # and the chunked path must be exactly repeatable
+def test_discrete_sum_chunk_seam(monkeypatch):
+    # the sum runs on blocks of about _BLOCK_ELEMENTS phases; a 5-mode set
+    # fits 301 times in one block, so shrink the blocks to 7 times each:
+    # the seams must not change a bit, and both must match the outer product
     modes = solve_finite_spectrum(
         OhmicSystemSpec(bar_omega=1.0, g=0.3, cavity_L=1.0, n_modes=5,
                         light_speed=1.0))
@@ -54,8 +58,20 @@ def test_discrete_sum_chunk_seam():
     series = f00_discrete(modes, modes.weights, t)
     ref = np.exp(-1j * np.outer(t, modes.frequencies)) @ modes.weights
     assert np.max(np.abs(series.values - ref)) < 1e-14
-    again = f00_discrete(modes, modes.weights, t)
-    assert np.array_equal(series.values, again.values)
+    monkeypatch.setattr(amplitudes, "_BLOCK_ELEMENTS", 7 * modes.frequencies.size)
+    seamed = f00_discrete(modes, modes.weights, t)
+    assert np.array_equal(series.values, seamed.values)
+
+
+def test_discrete_values_do_not_depend_on_the_batch():
+    g, delta = 0.3, 0.7
+    modes = solve_finite_spectrum(
+        OhmicSystemSpec(bar_omega=1.0, g=g, cavity_L=2.0 * delta / g,
+                        n_modes=200, light_speed=1.0))
+    t = np.linspace(0.0, 40.0, 101)
+    full = f00_discrete(modes, modes.weights, t).values
+    for k in range(t.size):
+        assert f00_discrete(modes, modes.weights, t[[k]]).values[0] == full[k]
 
 
 def test_corrupted_weights_show_up_at_t_zero():
@@ -191,6 +207,15 @@ def test_quadrature_values_do_not_depend_on_the_batch(g):
         assert np.array_equal(chunk, full[start : start + 64])
 
 
+def test_quadrature_refuses_oversized_time_grids():
+    # at g = 8.5 each time point needs about 11.1*t initial panels, so
+    # t = 3e5 asks for 1.06e7 of them (about 7 GB); the limit is 2**20
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="panels"):
+        f00_quadrature(_unit_spec(8.5), [0.0, 1.0, 3e5])
+    assert time.perf_counter() - start < 0.5
+
+
 @pytest.mark.parametrize("g", BETAS)
 def test_closed_form_matches_quadrature(g):
     spec = _unit_spec(g)
@@ -257,16 +282,54 @@ def test_strong_coupling_slow_pole_decay():
 # cavity survival
 # ---------------------------------------------------------------------------
 
-def test_cavity_survival_series_brute_force():
+def test_cavity_survival_series_brute_force(monkeypatch):
     w0, wk = 0.9, np.array([0.04, 0.03, 0.02])
     freqs = np.array([0.9, 4.5, 9.1, 13.6])
-    t = np.linspace(0.0, 10.0, 301)  # crosses the internal chunk size
+    t = np.linspace(0.0, 10.0, 301)
     got = cavity_survival_series((w0, wk), freqs, t)
     amps = w0 * np.exp(-1j * freqs[0] * t)
     for w, f in zip(wk, freqs[1:]):
         amps = amps + w * np.exp(-1j * f * t)
     assert np.allclose(got, np.abs(amps) ** 2, atol=1e-14)
     assert got[0] == pytest.approx((w0 + wk.sum()) ** 2, rel=1e-14)
+    # blocks of 7 times put 43 seams in the grid; none may change a bit
+    monkeypatch.setattr(amplitudes, "_BLOCK_ELEMENTS", 7 * freqs.size)
+    assert np.array_equal(cavity_survival_series((w0, wk), freqs, t), got)
+
+
+def _cavity_modes(k_max):
+    g, delta = 0.1, 0.05
+    return solve_cavity_spectrum(
+        OhmicSystemSpec(bar_omega=1.0, g=g, cavity_L=2.0 * delta / g,
+                        light_speed=1.0), k_max=k_max)
+
+
+def test_cavity_values_do_not_depend_on_the_batch():
+    modes = _cavity_modes(500)
+    pair = (modes.weights[0], modes.weights[1:])
+    t = np.linspace(0.0, 40.0, 101)
+    full = cavity_survival_series(pair, modes.frequencies, t)
+    for k in range(t.size):
+        assert cavity_survival_series(pair, modes.frequencies, t[[k]])[0] == full[k]
+
+
+def test_cavity_survival_series_memory_is_bounded():
+    # 1e5 ladder modes over 64 times: one block of all phases would take
+    # about 100 MB per array; blocks of about 2**18 phases stay near 10 MB.
+    # Long rows also take another reduction path in some numpy kernels, so
+    # check single-time values here as well.
+    modes = _cavity_modes(100_000)
+    pair = (modes.weights[0], modes.weights[1:])
+    t = np.linspace(0.0, 200.0, 64)
+    tracemalloc.start()
+    try:
+        full = cavity_survival_series(pair, modes.frequencies, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    for k in (0, 1, 31, 63):
+        assert cavity_survival_series(pair, modes.frequencies, t[[k]])[0] == full[k]
 
 
 def test_cavity_survival_series_guards():

@@ -271,6 +271,17 @@ def test_invalid_thread_env(monkeypatch, capsys):
     assert "DRESSED_THREADS" in err
 
 
+def test_oversized_quadrature_grid_fails_fast(capsys):
+    start = time.perf_counter()
+    rc, _, err = run_cli(capsys, "decay", "--method", "quadrature",
+                         "--bar-omega", "1.0", "--beta", "8.5",
+                         "--delta", "0.05", "--light-speed", "1.0",
+                         "--t-max", "300000")
+    assert rc == 1
+    assert "panels" in err
+    assert time.perf_counter() - start < 0.5
+
+
 def test_numerical_failure_exit_code(monkeypatch, capsys):
     def explode(args):
         raise NumericalFailure("synthetic blowup")
