@@ -73,6 +73,7 @@ _QUAD_HARD_LIMIT = 1e-7
 _BLOCK_ELEMENTS = 2**18
 _BATCH_PANELS = 4096
 _MAX_PANELS = 2**20
+_MAX_GRID_PANELS = 2**23
 
 
 class AmplitudeMethod(Enum):
@@ -279,6 +280,12 @@ def _f00_oscillating(bar_omega: float, g: float, t: np.ndarray):
             f"more than the {_MAX_PANELS} that fit in about 0.7 GB; keep t "
             f"below {(_MAX_PANELS - head_edges.size) * math.pi / w_top:.6g} for this spec"
         )
+    if n_panels.sum() > _MAX_GRID_PANELS:
+        raise InputError(
+            f"{t.size} time points need {n_panels.sum():.3g} quadrature panels in all, "
+            f"more than the {_MAX_GRID_PANELS} that run in about 10 s; use fewer "
+            "samples or a smaller t_max"
+        )
     batch = (np.cumsum(n_panels) - n_panels) // _BATCH_PANELS
     head = np.empty(t.shape, dtype=complex)
     err_h = np.empty(t.shape)
@@ -305,7 +312,8 @@ def f00_quadrature(spec: OhmicSystemSpec, times) -> AmplitudeSeries:
     Aims at 1e-9 absolute accuracy per time point and raises
     NumericalFailure if the internal error estimate ever exceeds 1e-7.
     Work and memory per time point grow as t*(4*bar_omega + 4*pi*g)/pi
-    initial panels; a time that needs more than 2**20 of them raises
+    initial panels.  A time that needs more than 2**20 of them, or a grid
+    that needs more than 2**23 in all (about 10 s of work), raises
     InputError before any quadrature runs.
     """
     t_arr = _validate_times(times)

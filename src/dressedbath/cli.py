@@ -7,18 +7,15 @@ codes: 0 success, 1 input error, 2 numerical failure, 3 validation
 failure.
 
 Config files are flat UTF-8 ``key=value`` lines with ``#`` comments;
-command-line flags override file values.  Exactly one of {g, beta} and
-one of {cavity_L, delta} must be given.  The ``DRESSED_THREADS``
-environment variable is accepted and must be an integer, but it no longer
-changes the work or the output: every route computes each time point
-independently of the others, in one call over the whole grid.
+command-line flags override file values, and both are checked by the same
+rules.  Exactly one of {g, beta} and one of {cavity_L, delta} must be
+given.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -106,12 +103,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
     """File config overlaid with any explicitly given flags."""
     cfg = load_config(args.config) if args.config else {}
     for key in _ALL_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    for key, value in cfg.items():
-        if key in _FLOAT_KEYS and not math.isfinite(value):
-            raise InputError(f"key {key} must be finite, got {value!r}")
+        raw = getattr(args, key)
+        if raw is not None:
+            cfg[key] = _coerce(key, raw)
     return cfg
 
 
@@ -150,13 +144,13 @@ def _time_grid(cfg: dict, spec: OhmicSystemSpec) -> np.ndarray:
     return np.linspace(0.0, t_max, samples)
 
 
-def _thread_count() -> int:
-    # DRESSED_THREADS is still validated, but no route runs on threads
-    raw = os.environ.get("DRESSED_THREADS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"DRESSED_THREADS must be an integer, got {raw!r}") from None
+def _amplitude(method: str, spec: OhmicSystemSpec, times: np.ndarray):
+    if method == "closed":
+        return _amp.f00_closed(spec, times)
+    if method == "quadrature":
+        return _amp.f00_quadrature(spec, times)
+    modes = _spectrum.solve_finite_spectrum(spec)
+    return _amp.f00_discrete(modes, modes.weights, times)
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +247,7 @@ def cmd_decay(args: argparse.Namespace) -> int:
     spec = build_spec(cfg)
     method = cfg.get("method", "closed")
     times = _time_grid(cfg, spec)
-    _thread_count()
-    if method == "closed":
-        values = _amp.f00_closed(spec, times).values
-    elif method == "quadrature":
-        values = _amp.f00_quadrature(spec, times).values
-    else:
-        modes = _spectrum.solve_finite_spectrum(spec)
-        values = _amp.f00_discrete(modes, modes.weights, times).values
+    values = _amplitude(method, spec, times).values
     extras = [
         ("method", method),
         ("grid", f"t_max={times[-1]:.17g} samples={times.size}"),
@@ -282,14 +269,7 @@ def cmd_brownian(args: argparse.Namespace) -> int:
     )
     method = cfg.get("method", "closed")
     times = _time_grid(cfg, spec)
-    _thread_count()
-    if method == "closed":
-        series = _amp.f00_closed(spec, times)
-    elif method == "quadrature":
-        series = _amp.f00_quadrature(spec, times)
-    else:
-        modes = _spectrum.solve_finite_spectrum(spec)
-        series = _amp.f00_discrete(modes, modes.weights, times)
+    series = _amplitude(method, spec, times)
     positions = _brownian.classical_path(spec, prep, times, series)
     extras = [
         ("method", method),
@@ -360,26 +340,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key=value config file")
-    common.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-    common.add_argument("--bar-omega", dest="bar_omega", type=float)
-    common.add_argument("--g", dest="g", type=float)
-    common.add_argument("--beta", dest="beta", type=float)
-    common.add_argument("--cavity-L", dest="cavity_L", type=float)
-    common.add_argument("--delta", dest="delta", type=float)
-    common.add_argument("--light-speed", dest="light_speed", type=float)
-    common.add_argument("--n-modes", dest="n_modes", type=int)
-    common.add_argument("--hbar", dest="hbar", type=float)
-    common.add_argument("--t-max", dest="t_max", type=float)
-    common.add_argument("--samples", dest="samples", type=int)
-    common.add_argument("--k-max", dest="k_max", type=int)
-    common.add_argument("--n-bar", dest="n_bar", type=float)
-    common.add_argument("--theta", dest="theta", type=float)
-    common.add_argument("--route", choices=_CHOICE_KEYS["route"])
-    common.add_argument("--method", choices=_CHOICE_KEYS["method"])
-    common.add_argument("--regime", choices=_CHOICE_KEYS["regime"])
-    common.add_argument(
-        "--eq11-variant", dest="eq11_variant", choices=_CHOICE_KEYS["eq11_variant"]
-    )
+    for key in _ALL_KEYS:
+        # values stay strings here: resolve_config coerces them like file values
+        common.add_argument(
+            "--" + key.replace("_", "-"), dest=key, choices=_CHOICE_KEYS.get(key)
+        )
     return common
 
 

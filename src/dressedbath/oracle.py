@@ -17,6 +17,7 @@ it aggregates.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -238,32 +239,36 @@ def cross_validate(spec: OhmicSystemSpec) -> ValidationReport:
     notes: list = []
     d = derive_parameters(spec)
 
-    dense = {}
+    # each route is solved once per spec and shared by every check that
+    # reads it; functools.cache stores no exception, so a raising route
+    # raises again in, and is recorded by, each of those checks
+    @functools.cache
+    def dense():
+        return eigen_decompose(build_potential_matrix(spec))
 
-    def dense_views():
-        if not dense:
-            dense["eig"] = eigen_decompose(build_potential_matrix(spec))
-        return dense["eig"]
+    finite = functools.cache(_spectrum.solve_finite_spectrum)
+
+    @functools.cache
+    def cavity(variant):
+        return _spectrum.solve_cavity_spectrum(spec, k_max=50, variant=variant)
 
     def check_spectrum():
-        eigvals, _ = dense_views()
-        ms = _spectrum.solve_finite_spectrum(spec)
-        return np.max(np.abs(ms.frequencies / np.sqrt(eigvals) - 1.0))
+        eigvals, _ = dense()
+        return np.max(np.abs(finite(spec).frequencies / np.sqrt(eigvals) - 1.0))
 
     _guarded(checks, notes, "finite spectrum vs dense eigensolve", 0.0, 1e-10,
              check_spectrum)
 
     def check_matrix():
-        _, vecs = dense_views()
-        ms = _spectrum.solve_finite_spectrum(spec)
-        tm = _transform.finite_matrix(spec, ms)
+        _, vecs = dense()
+        tm = _transform.finite_matrix(spec, finite(spec))
         return np.max(np.abs(tm.entries - vecs))
 
     _guarded(checks, notes, "transform matrix vs dense eigenvectors", 0.0, 1e-9,
              check_matrix)
 
     def check_sum_rule():
-        ms = _spectrum.solve_finite_spectrum(spec)
+        ms = finite(spec)
         series = _amp.f00_discrete(ms, ms.weights, np.array([0.0]))
         return abs(abs(series.values[0]) ** 2 - 1.0)
 
@@ -291,13 +296,11 @@ def cross_validate(spec: OhmicSystemSpec) -> ValidationReport:
     _guarded(checks, notes, "branch-cut power-law tail", 0.0, 5e-3, check_tail)
 
     def check_variants():
-        wide = replace(spec, n_modes=400)
-        finite = _spectrum.solve_finite_spectrum(wide)
+        wide_modes = finite(replace(spec, n_modes=400))
         gaps = {}
         for variant in ("paper", "rederived"):
-            cavity = _spectrum.solve_cavity_spectrum(spec, k_max=50, variant=variant)
             gaps[variant] = float(np.max(np.abs(
-                cavity.frequencies[:40] / finite.frequencies[:40] - 1.0
+                cavity(variant).frequencies[:40] / wide_modes.frequencies[:40] - 1.0
             )))
         notes.append(
             "cotangent constant adjudication vs 400-mode bath: rederived "
@@ -316,7 +319,7 @@ def cross_validate(spec: OhmicSystemSpec) -> ValidationReport:
              0.9742, 1e-4, check_bound)
 
     try:
-        exact = _spectrum.solve_cavity_spectrum(spec, k_max=50, variant="rederived")
+        exact = cavity("rederived")
         with warnings.catch_warnings():
             # the note itself reports how far the first-order form drifts
             warnings.simplefilter("ignore")

@@ -214,6 +214,13 @@ def test_quadrature_refuses_oversized_time_grids():
     with pytest.raises(InputError, match="panels"):
         f00_quadrature(_unit_spec(8.5), [0.0, 1.0, 3e5])
     assert time.perf_counter() - start < 0.5
+    # each time of this grid stays under that limit (t < 29726.9), but the
+    # 200 of them need about 1.05e8 panels in all, minutes of work; the
+    # limit on the whole grid is 2**23
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="panels in all"):
+        f00_quadrature(_unit_spec(8.5), np.linspace(0.0, 29700.0, 200))
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("g", BETAS)

@@ -249,10 +249,15 @@ def test_metadata_round_trip(capsys):
         light_speed=2.5, hbar=0.9)
 
 
-def test_thread_count_does_not_change_output(tmp_path, monkeypatch, capsys):
+def test_thread_env_is_ignored(tmp_path, monkeypatch, capsys):
+    # DRESSED_THREADS is no longer read: any value, even a non-integer,
+    # gives the bytes of a run without it
     files = {}
-    for threads in ("1", "8"):
-        monkeypatch.setenv("DRESSED_THREADS", threads)
+    for threads in (None, "8", "many"):
+        if threads is None:
+            monkeypatch.delenv("DRESSED_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("DRESSED_THREADS", threads)
         target = tmp_path / f"run{threads}.csv"
         rc, _, _ = run_cli(capsys, "decay", "--bar-omega", "1.0",
                            "--beta", "3.0", "--cavity-L", "1.0",
@@ -260,26 +265,37 @@ def test_thread_count_does_not_change_output(tmp_path, monkeypatch, capsys):
                            "--samples", "300", "--out", str(target))
         assert rc == 0
         files[threads] = target.read_bytes()
-    assert files["1"] == files["8"]
+    assert files[None] == files["8"] == files["many"]
 
 
-def test_invalid_thread_env(monkeypatch, capsys):
-    monkeypatch.setenv("DRESSED_THREADS", "many")
-    rc, _, err = run_cli(capsys, "decay", "--bar-omega", "1.0", "--beta", "0.3",
-                         "--cavity-L", "1.0", "--samples", "3")
-    assert rc == 1
-    assert "DRESSED_THREADS" in err
+def test_flag_and_file_values_share_one_coercion(tmp_path, capsys):
+    base = ("decay", "--bar-omega", "1.0", "--cavity-L", "1.0",
+            "--samples", "3")
+    rc, _, err = run_cli(capsys, *base, "--beta", "abc")
+    assert rc == 1 and "key beta expects a number, got 'abc'" in err
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("beta = abc\n", encoding="utf-8")
+    rc, _, err = run_cli(capsys, *base, "--config", str(cfg))
+    assert rc == 1 and "key beta expects a number, got 'abc'" in err
+    rc, _, err = run_cli(capsys, *base, "--beta", "0.3", "--samples", "3.5")
+    assert rc == 1 and "key samples expects an integer, got '3.5'" in err
+    rc, _, err = run_cli(capsys, *base, "--beta", "0.3", "--t-max", "inf")
+    assert rc == 1 and "key t_max must be finite" in err
 
 
 def test_oversized_quadrature_grid_fails_fast(capsys):
-    start = time.perf_counter()
-    rc, _, err = run_cli(capsys, "decay", "--method", "quadrature",
-                         "--bar-omega", "1.0", "--beta", "8.5",
-                         "--delta", "0.05", "--light-speed", "1.0",
-                         "--t-max", "300000")
-    assert rc == 1
-    assert "panels" in err
-    assert time.perf_counter() - start < 0.5
+    # one time over the per-time limit, then a 200-sample grid whose times
+    # are each under it but whose panels in all are over the grid limit
+    for command, t_max, message in (("decay", "300000", "keep t below"),
+                                    ("brownian", "29700", "panels in all")):
+        start = time.perf_counter()
+        rc, _, err = run_cli(capsys, command, "--method", "quadrature",
+                             "--bar-omega", "1.0", "--beta", "8.5",
+                             "--delta", "0.05", "--light-speed", "1.0",
+                             "--t-max", t_max)
+        assert rc == 1
+        assert message in err
+        assert time.perf_counter() - start < 0.5
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):

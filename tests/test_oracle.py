@@ -1,6 +1,7 @@
 """Dense-matrix cross-check route: Jacobi eigensolver and the report."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from dressedbath import (
     CheckResult,
     InputError,
     ModeSource,
+    NumericalFailure,
     OhmicSystemSpec,
     PotentialMatrix,
     build_potential_matrix,
@@ -18,6 +20,7 @@ from dressedbath import (
     mode_set_from_dense,
     solve_finite_spectrum,
 )
+from dressedbath import oracle, spectrum
 
 SPEC = OhmicSystemSpec(bar_omega=1.0, g=0.3, cavity_L=1.0, n_modes=8,
                        light_speed=1.0)
@@ -121,3 +124,57 @@ def test_cross_validate_default_spec():
     assert any("published variant" in note for note in report.notes)
     # the report must be reproducible verbatim
     assert cross_validate(SPEC).to_text() == text
+
+
+FINITE_CHECKS = ("finite spectrum vs dense eigensolve",
+                 "transform matrix vs dense eigenvectors",
+                 "t=0 sum rule")
+
+
+def _count_calls(monkeypatch, module, name, key=lambda args, kwargs: args[0],
+                 fail_for=None):
+    # wrap module.name so it counts its calls by key(args, kwargs), and
+    # raises NumericalFailure when its first argument equals `fail_for`
+    calls = Counter()
+    real = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        calls[key(args, kwargs)] += 1
+        if fail_for is not None and args[0] == fail_for:
+            raise NumericalFailure("synthetic finite-route failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+def test_cross_validate_records_a_raising_route_in_every_check(monkeypatch):
+    finite = _count_calls(monkeypatch, spectrum, "solve_finite_spectrum",
+                          fail_for=SPEC)
+    jacobi = _count_calls(monkeypatch, oracle, "eigen_decompose")
+    report = cross_validate(SPEC)
+    by_name = {check.name: check for check in report.checks}
+    for name in FINITE_CHECKS:
+        assert math.isnan(by_name[name].computed)
+        assert not by_name[name].passed
+        assert sum(note.startswith(f"check {name} raised NumericalFailure")
+                   for note in report.notes) == 1
+    # nothing caches the exception: each of the three checks tried again
+    assert finite[SPEC] == 3
+    assert sum(jacobi.values()) == 1
+    assert not report.all_passed
+    assert "result: 3 check(s) failed" in report.to_text()
+
+
+def test_cross_validate_solves_each_route_once(monkeypatch):
+    finite = _count_calls(monkeypatch, spectrum, "solve_finite_spectrum")
+    cavity = _count_calls(monkeypatch, spectrum, "solve_cavity_spectrum",
+                          key=lambda args, kwargs: kwargs["variant"])
+    jacobi = _count_calls(monkeypatch, oracle, "eigen_decompose")
+    report = cross_validate(SPEC)
+    assert report.all_passed
+    # the report's own spec and the 400-mode bath of the variant check
+    assert finite[SPEC] == 1
+    assert set(finite.values()) == {1} and len(finite) == 2
+    assert cavity == Counter({"paper": 1, "rederived": 1})
+    assert sum(jacobi.values()) == 1
