@@ -249,23 +249,33 @@ def test_metadata_round_trip(capsys):
         light_speed=2.5, hbar=0.9)
 
 
-def test_thread_env_is_ignored(tmp_path, monkeypatch, capsys):
-    # DRESSED_THREADS is no longer read: any value, even a non-integer,
-    # gives the bytes of a run without it
-    files = {}
-    for threads in (None, "8", "many"):
-        if threads is None:
-            monkeypatch.delenv("DRESSED_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("DRESSED_THREADS", threads)
-        target = tmp_path / f"run{threads}.csv"
-        rc, _, _ = run_cli(capsys, "decay", "--bar-omega", "1.0",
-                           "--beta", "3.0", "--cavity-L", "1.0",
-                           "--light-speed", "1.0", "--t-max", "20.0",
-                           "--samples", "300", "--out", str(target))
-        assert rc == 0
-        files[threads] = target.read_bytes()
-    assert files[None] == files["8"] == files["many"]
+def _decay_bytes(tmp_path, monkeypatch, capsys, threads):
+    if threads is None:
+        monkeypatch.delenv("DRESSED_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("DRESSED_THREADS", threads)
+    target = tmp_path / f"run{threads}.csv"
+    rc, _, _ = run_cli(capsys, "decay", "--bar-omega", "1.0",
+                       "--beta", "3.0", "--cavity-L", "1.0",
+                       "--light-speed", "1.0", "--t-max", "20.0",
+                       "--samples", "300", "--out", str(target))
+    assert rc == 0
+    return target.read_bytes()
+
+
+def test_thread_count_does_not_change_output(tmp_path, monkeypatch, capsys):
+    # DRESSED_THREADS is not read: any thread count gives the bytes of a
+    # run without the variable
+    files = {threads: _decay_bytes(tmp_path, monkeypatch, capsys, threads)
+             for threads in (None, "1", "8")}
+    assert files[None] == files["1"] == files["8"]
+
+
+def test_invalid_thread_env(tmp_path, monkeypatch, capsys):
+    # a non-integer DRESSED_THREADS is ignored, not rejected: exit 0 and
+    # the bytes of a run without the variable
+    assert (_decay_bytes(tmp_path, monkeypatch, capsys, "many")
+            == _decay_bytes(tmp_path, monkeypatch, capsys, None))
 
 
 def test_flag_and_file_values_share_one_coercion(tmp_path, capsys):
