@@ -350,7 +350,8 @@ def _j_analytic(spec: OhmicSystemSpec, t: np.ndarray) -> np.ndarray:
         kappa = regime.kappa_abs
         root = complex(a, kappa)
         z = root * t
-        diff = exp1_scaled(-z) - exp1_scaled(z)
+        pair = exp1_scaled(np.concatenate((-z, z)))
+        diff = pair[: t.size] - pair[t.size:]
         return (root * diff).imag / (math.pi * kappa)
     if regime.kind is RegimeKind.CRITICAL:
         x = a * t
@@ -360,9 +361,9 @@ def _j_analytic(spec: OhmicSystemSpec, t: np.ndarray) -> np.ndarray:
     kabs = regime.kappa_abs
     y_fast = a + kabs
     y_slow = spec.bar_omega**2 / y_fast  # equals a - kabs without cancellation
-    s_fast = ei_scaled(y_fast * t) + np.real(exp1_scaled(y_fast * t))
-    s_slow = ei_scaled(y_slow * t) + np.real(exp1_scaled(y_slow * t))
-    return -(y_fast * s_fast - y_slow * s_slow) / (2.0 * math.pi * kabs)
+    x = np.concatenate((y_fast * t, y_slow * t))
+    s = ei_scaled(x) + np.real(exp1_scaled(x))
+    return -(y_fast * s[: t.size] - y_slow * s[t.size:]) / (2.0 * math.pi * kabs)
 
 
 def _j_quadrature(spec: OhmicSystemSpec, t: float) -> float:

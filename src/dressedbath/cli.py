@@ -4,7 +4,8 @@ Subcommands ``spectrum | decay | brownian | cavity | validate`` wrap the
 library modules and emit CSV with a ``#``-prefixed metadata header, 17
 significant digits throughout so every float round-trips exactly.  Exit
 codes: 0 success, 1 input error, 2 numerical failure, 3 validation
-failure.
+failure.  Errors and warnings reach stderr as single ``error: ...`` and
+``warning: ...`` lines.
 
 Config files are flat UTF-8 ``key=value`` lines with ``#`` comments;
 command-line flags override file values, and both are checked by the same
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -371,21 +373,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    # one line like the error lines, without the source path and line
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    try:
-        return args.func(args)
-    except (InputError, ParameterError, DimensionMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (NumericalFailure, StabilityError, SingularityError,
-            OverflowGuardError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (InputError, ParameterError, DimensionMismatch) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except (NumericalFailure, StabilityError, SingularityError,
+                OverflowGuardError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -8,45 +8,152 @@ as single scaled functions:
     exp1_scaled(z) = e**z  * E1(z)   ~  1/z  for |z| -> inf
     ei_scaled(x)   = e**-x * Ei(x)   ~  1/x  for   x -> inf
 
-For moderate arguments the scipy values are multiplied by the exponential
-directly; E1(z) ~ e^{-z}/z stays representable up to |Re z| near 700, so a
-cut at 600 leaves a wide safety margin.  Beyond the cut the divergent
-asymptotic series is summed to its smallest term, which at |z| > 600 is far
-below double precision resolution (the k-th term is k!/z**k, under 1e-37 by
-k = 20).
+Each lane takes one of three regions, after the split of Amos (1990, ACM
+TOMS 683):
+
+* the power series E1(z) = -gamma - ln z - S(-z) and Ei(x) = gamma + ln x
+  + S(x), S(w) = sum_{k>=1} w**k / (k k!) (Abramowitz & Stegun 5.1.11 and
+  5.1.10), for |z| + Re z < 3.06 with |z| <= 40, and for 0 < x <= 40.
+  Beside the negative real axis the terms of S(-z) turn slowly, so the
+  sum loses at most a factor e**(|z| + Re z) < 21 to cancellation; every
+  term of S(x) is positive.
+* the even continued fraction e**z E1(z) = 1/(z+1- 1/(z+3- 4/(z+5- ...)))
+  (A&S 5.1.22, contracted), evaluated backward from a fixed depth, for the
+  other z with |Re z| <= 600.  It converges slowly only where |z| + Re z
+  is small, which is the parabola the series takes.
+* the asymptotic series (1/z) sum_k (-1)**k k! / z**k for |Re z| > 600, and
+  its all-positive form for Ei at x > 40, cut where the terms fall below
+  double precision (at x = 40 the smallest is 6.7e-17).
+
+Term counts and depths come from a few fixed classes of |z|, |z| + Re z
+and x (the tables below), never from the other lanes of a call, and no
+lane's arithmetic depends on its neighbours: an array call returns, bit
+for bit, what a call on each element alone returns.
+
+Against 40-digit mpmath the worst relative error of exp1_scaled was 2.3e-15
+over 3,221 points: a 50 x 61 polar grid with |z| from 1e-3 to 1e3 and
+|arg z| up to pi - 1e-5, rays 1e-4 rad from the negative axis with |z|
+from 1 to 60, and the positive axis from 1 to 6 (scipy's exp1 was 8.5e-13
+off on the same points).  ei_scaled was 1.6e-15 off on 1,995 points from
+1e-3 to 1e6, leaving out 0.01 either side of the zero of Ei at x = 0.3725,
+where the absolute error stays below 1e-16.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy import special as _sp
 
 __all__ = ["exp1_scaled", "ei_scaled"]
 
-_ASYMPTOTIC_CUT = 600.0
-_MAX_TERMS = 60
+_EULER = 0.57721566490153286061
+_ASYMPTOTIC_CUT = 600.0     # |Re z| above this: asymptotic series
+_SERIES_EDGE = 3.06         # |z| + Re z below this (and |z| <= 40): series
+_SERIES_RADIUS = 40.0       # series up to this |z|; Ei's series up to this x
 
 
-def _exp1_asymptotic(z: np.ndarray) -> np.ndarray:
-    # e^z E1(z) ~ (1/z) * sum_k (-1)^k k! / z^k, truncated at the smallest
-    # term per lane.  Valid for large |Re z| of either sign: the branch-cut
-    # discontinuity -i*pi*e^z carries a factor e^{Re z} < e^{-600} there.
-    # At z = -x it is -e^-x Ei(x) ~ -(1/x) * sum_k k! / x^k, the same terms
-    # with every sign flipped exactly, so ei_scaled reuses it.
-    inv = 1.0 / z
-    term = inv.copy()
-    total = inv.copy()
-    last = np.abs(term)
-    active = np.ones(z.shape, dtype=bool)
-    for k in range(1, _MAX_TERMS):
-        term = term * (-k * inv)
-        mag = np.abs(term)
-        active &= mag < last
-        if not active.any():
-            break
-        total = np.where(active, total + term, total)
-        last = mag
-    return total
+def _constants(values):
+    """Each value as a 0-d array, real and complex: numpy adds, multiplies
+    and divides by these faster than by Python floats, which it converts
+    on every call."""
+    values = list(values)
+    return {dt: [np.array(v, dtype=dt) for v in values]
+            for dt in (np.dtype(float), np.dtype(complex))}
+
+
+# Each count is the smallest whose truncation error at the worst point of
+# its class is below 4e-16 relative for the continued fraction and 3e-17
+# for the two series (7e-17 for the asymptotic one at x = 40).
+#
+# S(w) = w * sum_j w**j / ((j+1) (j+1)!): terms by class of |w|
+_SERIES_CLASSES = (np.array([1.0, 3.06, 8.0, 16.0, 25.0]),
+                   np.array([18, 27, 42, 61, 79, 106]))
+_SERIES_COEF = _constants(1.0 / ((j + 1) * math.factorial(j + 1))
+                          for j in range(_SERIES_CLASSES[1].max()))
+# continued-fraction depth by class of |z| + Re z.  Beyond |z| = 40 the
+# depth stays at 10: the depth-n fraction has poles at the zeros of the
+# Laguerre polynomial L_{n+1}(-z), which pass |z| = 40 from n = 12 on
+# (depth 12 and 15 were 6e-14 and 1.3e-14 off beside the negative axis)
+_CF_CLASSES = (np.array([4.0, 6.0, 10.0, 20.0, 40.0, 80.0]),
+               np.array([65, 51, 36, 23, 14, 9, 6]))
+_CF_FAR_DEPTH = 10
+_CF_K = range(_CF_CLASSES[1].max() + 1)
+_CF_SQUARES = _constants(float(k * k) for k in _CF_K)[np.dtype(complex)]
+_CF_ODD = _constants(2.0 * k - 1.0 for k in _CF_K)[np.dtype(complex)]
+# asymptotic sum_k k! u**k: terms by class of |z|
+_ASYMPTOTIC_CLASSES = (np.array([45.0, 60.0, 120.0, 600.0]),
+                       np.array([40, 29, 20, 13, 8]))
+_ASYMPTOTIC_COEF = _constants(float(math.factorial(k))
+                              for k in range(_ASYMPTOTIC_CLASSES[1].max()))
+
+
+def _class_counts(size, classes):
+    # class i holds bounds[i-1] < size <= bounds[i]; the last is open above
+    bounds, counts = classes
+    return counts[np.searchsorted(bounds, size)]
+
+
+def _by_count(counts):
+    """Order lanes by count, largest first, and split the counts into steps.
+
+    Returns the order and a list of (c, steps): the first c ordered lanes
+    take the steps in `steps`, which run from the largest count down.
+    Every lane joins at its own count, so a lane's arithmetic does not
+    depend on the other lanes.
+    """
+    order = np.argsort(-counts, kind="stable")
+    sizes = np.bincount(counts)
+    levels = np.flatnonzero(sizes)[::-1]
+    ends = np.cumsum(sizes[levels]).tolist()
+    levels = levels.tolist()
+    return order, [(c, range(n - 1, low - 1, -1))
+                   for c, n, low in zip(ends, levels, levels[1:] + [0])]
+
+
+def _horner(w, coef, counts):
+    """sum_{j < counts} coef[j] * w**j per lane, by Horner's rule.
+
+    Each lane starts at its own top term from exactly zero.  The product
+    goes to a second buffer: numpy multiplies complex arrays in place by
+    another loop, which rounds some lanes differently.
+    """
+    coef = coef[w.dtype]
+    order, blocks = _by_count(counts)
+    wv = w[order]
+    s = np.zeros_like(wv)
+    ws = np.empty_like(wv)
+    for c, steps in blocks:
+        sv, wc, wsv = s[:c], wv[:c], ws[:c]
+        for j in steps:
+            np.multiply(sv, wc, out=wsv)
+            np.add(wsv, coef[j], out=sv)
+    out = np.empty_like(s)
+    out[order] = s
+    return out
+
+
+def _continued_fraction(z, depth):
+    """1/(z+1- 1/(z+3- 4/(z+5- ... k**2/(z+2k+1)))) with k = depth per lane."""
+    order, blocks = _by_count(depth)
+    zv = z[order]
+    t = zv + (2.0 * depth[order] + 1.0)
+    tmp = np.empty_like(t)
+    for c, steps in blocks:
+        tv, zc, tc = t[:c], zv[:c], tmp[:c]
+        for j in steps:
+            np.divide(_CF_SQUARES[j + 1], tv, out=tv)
+            np.add(zc, _CF_ODD[j + 1], out=tc)
+            np.subtract(tc, tv, out=tv)
+    out = np.empty_like(t)
+    out[order] = 1.0 / t
+    return out
+
+
+def _asymptotic(u, size):
+    # u * sum_k k! u**k: -e**z E1(z) at u = -1/z, and e**-x Ei(x) at u = 1/x.
+    # The branch-cut jump -i*pi*e^z of E1 is below e^-600 where it is used.
+    return u * _horner(u, _ASYMPTOTIC_COEF, _class_counts(size, _ASYMPTOTIC_CLASSES))
 
 
 def exp1_scaled(z):
@@ -55,12 +162,24 @@ def exp1_scaled(z):
     scalar = z_arr.ndim == 0
     z_arr = np.atleast_1d(z_arr)
     out = np.empty(z_arr.shape, dtype=complex)
-    direct = np.abs(z_arr.real) <= _ASYMPTOTIC_CUT
-    if direct.any():
-        zd = z_arr[direct]
-        out[direct] = np.exp(zd) * _sp.exp1(zd)
-    if (~direct).any():
-        out[~direct] = _exp1_asymptotic(z_arr[~direct])
+    r = np.abs(z_arr)
+    edge = r + z_arr.real
+    far = np.abs(z_arr.real) > _ASYMPTOTIC_CUT
+    series = ~far & (edge < _SERIES_EDGE) & (r <= _SERIES_RADIUS)
+    lanes = np.flatnonzero(series)
+    if lanes.size:
+        zs = z_arr[lanes]
+        w = -zs
+        s = w * _horner(w, _SERIES_COEF, _class_counts(r[lanes], _SERIES_CLASSES))
+        out[lanes] = -np.exp(zs) * ((_EULER + np.log(zs)) + s)
+    lanes = np.flatnonzero(~(far | series))
+    if lanes.size:
+        depth = _class_counts(edge[lanes], _CF_CLASSES)
+        depth = np.where(r[lanes] > _SERIES_RADIUS, np.minimum(depth, _CF_FAR_DEPTH), depth)
+        out[lanes] = _continued_fraction(z_arr[lanes], depth)
+    lanes = np.flatnonzero(far)
+    if lanes.size:
+        out[lanes] = -_asymptotic(-1.0 / z_arr[lanes], r[lanes])
     return complex(out[0]) if scalar else out
 
 
@@ -74,10 +193,14 @@ def ei_scaled(x):
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
     out = np.empty(x_arr.shape, dtype=float)
-    direct = x_arr <= _ASYMPTOTIC_CUT
-    if direct.any():
-        xd = x_arr[direct]
-        out[direct] = np.exp(-xd) * _sp.expi(xd)
-    if (~direct).any():
-        out[~direct] = -_exp1_asymptotic(-x_arr[~direct])
+    series = x_arr <= _SERIES_RADIUS
+    lanes = np.flatnonzero(series)
+    if lanes.size:
+        xs = x_arr[lanes]
+        s = xs * _horner(xs, _SERIES_COEF, _class_counts(xs, _SERIES_CLASSES))
+        out[lanes] = np.exp(-xs) * ((_EULER + np.log(xs)) + s)
+    lanes = np.flatnonzero(~series)
+    if lanes.size:
+        xa = x_arr[lanes]
+        out[lanes] = _asymptotic(1.0 / xa, xa)
     return float(out[0]) if scalar else out

@@ -88,6 +88,17 @@ def test_spectrum_small_l_route(capsys):
     assert np.all(np.diff(rows[:, 1]) > 0.0)
 
 
+def test_warning_is_one_stderr_line(capsys):
+    # no source path or line number of cli.py, like the error lines
+    rc, out, err = run_cli(capsys, "spectrum", "--route", "small-l",
+                           "--bar-omega", "1", "--light-speed", "1",
+                           "--beta", "0.0073", "--delta", "0.005", "--k-max", "50")
+    assert rc == 0
+    assert data_rows(out).shape[0] == 51
+    assert err == ("warning: delta = 0.005 is not small against the validity "
+                   "factor f = 0.00738419; small-cavity formulas degrade here\n")
+
+
 def test_missing_required_key(capsys):
     rc, _, err = run_cli(capsys, "spectrum", "--g", "0.3", "--cavity-L", "1.0")
     assert rc == 1
