@@ -32,11 +32,9 @@ from .spectrum import (
     solve_finite_spectrum,
 )
 from .transform import (
-    cavity_weight_row,
     dressed_from_normal,
     expansion_coefficient,
     finite_matrix,
-    small_L_weights,
 )
 from .amplitudes import (
     AmplitudeMethod,
@@ -86,8 +84,6 @@ __all__ = [
     "cot_series_closed_form",
     "series_identity_residual",
     "finite_matrix",
-    "cavity_weight_row",
-    "small_L_weights",
     "dressed_from_normal",
     "expansion_coefficient",
     "AmplitudeMethod",

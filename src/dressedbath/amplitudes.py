@@ -71,6 +71,7 @@ __all__ = [
 _QUAD_TARGET = 1e-9
 _QUAD_HARD_LIMIT = 1e-7
 _BLOCK_ELEMENTS = 2**18
+_MAX_PHASES = 2**27
 _BATCH_PANELS = 4096
 _MAX_PANELS = 2**20
 _MAX_GRID_PANELS = 2**23
@@ -141,6 +142,13 @@ def _phase_sums(freq: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.ndar
     # a value does not depend on which times share its call or block.  A
     # BLAS product rounds a row by the rows beside it, and einsum switches
     # kernels between one long row and several; neither is batch-invariant.
+    # A phase term costs about 46 ns on a 2-core VM, so 2**27 of them is
+    # about 6 s.
+    if freq.size * t.size > _MAX_PHASES:
+        raise InputError(
+            f"a mode sum over {freq.size} modes x {t.size} times exceeds "
+            "2**27 phase terms; use fewer modes or times"
+        )
     step = max(1, _BLOCK_ELEMENTS // freq.size)
     out = np.empty(t.shape, dtype=complex)
     for start in range(0, t.size, step):
@@ -156,7 +164,8 @@ def f00_discrete(modes: NormalModeSet, weights, times) -> AmplitudeSeries:
 
     ``weights`` is passed separately from the mode set so a deliberately
     perturbed weight row can be pushed through the same code path; they
-    must be positive and sum to at most 1 (+1e-8 slack).
+    must be positive and sum to at most 1 (+1e-8 slack).  More than 2**27
+    modes x times raises InputError before any phase is summed.
     """
     t = _validate_times(times)
     w = np.asarray(weights, dtype=float)
@@ -548,7 +557,8 @@ def cavity_survival_series(weights, frequencies, times) -> np.ndarray:
 
     ``weights`` is the pair (w0, ladder_weights); ``frequencies`` holds
     the matching 1 + k_max mode frequencies in ascending order.  Evaluated
-    directly as a squared modulus, O(k_max) per time point.
+    directly as a squared modulus, O(k_max) per time point; more than
+    2**27 modes x times raises InputError before any phase is summed.
     """
     try:
         w0, wk = weights

@@ -28,7 +28,6 @@ from . import amplitudes as _amp
 from . import brownian as _brownian
 from . import oracle as _oracle
 from . import spectrum as _spectrum
-from . import transform as _transform
 from .errors import (
     DimensionMismatch,
     InputError,
@@ -225,21 +224,17 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     extras = [("route", route)]
     if route == "finite-n":
         modes = _spectrum.solve_finite_spectrum(spec)
-        freqs, weights = modes.frequencies, modes.weights
     elif route == "cavity":
         variant = cfg.get("eq11_variant", "rederived")
         modes = _spectrum.solve_cavity_spectrum(spec, k_max=k_max, variant=variant)
-        freqs, weights = modes.frequencies, modes.weights
         extras += [("k_max", k_max), ("eq11_variant", variant)]
     else:
         regime = cfg.get("regime", "weak")
-        approx = _spectrum.approx_small_L_spectrum(spec, k_max=k_max)
-        freqs = approx.frequencies()
-        w0, ladder = _transform.small_L_weights(spec, regime, k_max)
-        weights = np.concatenate(([w0], ladder))
+        modes = _spectrum.approx_small_L_spectrum(spec, k_max=k_max, regime=regime)
         extras += [("k_max", k_max), ("regime", regime)]
     extras.append(("columns", "r,omega,weight"))
-    rows = [(r, freqs[r], weights[r]) for r in range(freqs.size)]
+    rows = [(r, modes.frequencies[r], modes.weights[r])
+            for r in range(modes.n_modes_total)]
     _emit(_document(_metadata("spectrum", spec, extras), rows), cfg.get("out"))
     return 0
 

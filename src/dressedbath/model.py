@@ -131,20 +131,6 @@ class DerivedParams:
     kappa_sq: float
     beta: float
     delta: float
-    n_modes: int
-
-    def omega_k(self, k):
-        """Bath frequency ladder k*delta_omega, k = 1..N (vectorized)."""
-        import numpy as np
-
-        k = np.asarray(k)
-        if np.any(k < 1):
-            raise ParameterError("bath mode index k must be >= 1")
-        return k * self.delta_omega
-
-    def c_k(self, k):
-        """Ohmic couplings eta*omega_k (vectorized)."""
-        return self.eta * self.omega_k(k)
 
 
 class RegimeKind(Enum):
@@ -178,7 +164,6 @@ def derive_parameters(spec: OhmicSystemSpec) -> DerivedParams:
         kappa_sq=kappa_sq,
         beta=spec.g / spec.bar_omega,
         delta=spec.cavity_L * spec.g / (2.0 * spec.light_speed),
-        n_modes=spec.n_modes,
     )
 
 

@@ -327,7 +327,7 @@ def cross_validate(spec: OhmicSystemSpec) -> ValidationReport:
         notes.append(
             "lowest cavity mode: exact cotangent (rederived) gives "
             f"Omega0/bar_omega = {exact.frequencies[0] / spec.bar_omega:.6f}, "
-            f"first-order small-cavity form gives {approx.omega_0 / spec.bar_omega:.6f}"
+            f"first-order small-cavity form gives {approx.frequencies[0] / spec.bar_omega:.6f}"
         )
     except DressedBathError:
         pass

@@ -25,6 +25,9 @@ Three routes to the same physics, at different levels of approximation:
   delta is far below the smallness factor returned by
   ``cavity_smallness_factor``.
 
+Each route returns a ``NormalModeSet``: the frequencies together with the
+particle weights (t_0^r)**2.
+
 The two exact routes hand their brackets to one root kernel,
 ``_bracketed_roots``, and share its stop rule.
 
@@ -56,7 +59,6 @@ from .model import DerivedParams, OhmicSystemSpec, derive_parameters
 __all__ = [
     "ModeSource",
     "NormalModeSet",
-    "SmallLSpectrum",
     "SmallnessFactors",
     "solve_finite_spectrum",
     "solve_cavity_spectrum",
@@ -67,6 +69,9 @@ __all__ = [
 ]
 
 _WEIGHT_SUM_TOL = 1e-8
+# solve_finite_spectrum is O(N**2) in time and memory: N = 5000 takes
+# about 5 s and 0.6 GB on a 2-core VM.
+_MAX_FINITE_MODES = 5000
 
 
 class ModeSource(Enum):
@@ -118,35 +123,6 @@ class NormalModeSet:
     @property
     def n_modes_total(self) -> int:
         return int(self.frequencies.size)
-
-
-@dataclass(frozen=True, eq=False)
-class SmallLSpectrum:
-    """Small-cavity closed-form spectrum.
-
-    The lowest mode sits at ``omega_0`` below the bath ladder; ladder mode k
-    is displaced to (k + epsilons[k-1]) * delta_omega.  ``validity_factor``
-    is the smallness scale f that delta must stay well below.
-    """
-
-    omega_0: float
-    epsilons: np.ndarray
-    validity_factor: float
-    k_max: int
-    spec_snapshot: OhmicSystemSpec
-
-    def __post_init__(self) -> None:
-        eps = np.asarray(self.epsilons, dtype=float)
-        if eps.ndim != 1 or eps.size != self.k_max:
-            raise DimensionMismatch("epsilons must hold one entry per ladder mode")
-        eps.setflags(write=False)
-        object.__setattr__(self, "epsilons", eps)
-
-    def frequencies(self) -> np.ndarray:
-        """Full ascending frequency array [omega_0, ladder modes]."""
-        d = derive_parameters(self.spec_snapshot)
-        k = np.arange(1, self.k_max + 1)
-        return np.concatenate(([self.omega_0], d.delta_omega * (k + self.epsilons)))
 
 
 SmallnessFactors = namedtuple("SmallnessFactors", ["full", "weak_limit", "strong_limit"])
@@ -218,10 +194,16 @@ def solve_finite_spectrum(spec: OhmicSystemSpec) -> NormalModeSet:
     ladder, one below it, one above it) and found by ``_bracketed_roots``:
     bisection to 1e-6 relative width, then safeguarded Newton until the
     step or the bracket is at most 1e-13 relative.  Particle weights come
-    for free as -1/h'(root).
+    for free as -1/h'(root).  Each step costs O(N**2) time and memory, so
+    n_modes above 5000 raises InputError before any work starts.
     """
-    d = derive_parameters(spec)
     n = spec.n_modes
+    if n > _MAX_FINITE_MODES:
+        raise InputError(
+            f"solve_finite_spectrum is capped at n_modes = {_MAX_FINITE_MODES} "
+            f"(O(N**2) time and memory), got {n}"
+        )
+    d = derive_parameters(spec)
     pole_sq = (d.delta_omega * np.arange(1, n + 1)) ** 2
     eta_sq = d.eta**2
     bar_sq = spec.bar_omega**2
@@ -375,20 +357,30 @@ def cavity_smallness_factor(spec: OhmicSystemSpec) -> SmallnessFactors:
     )
 
 
-def approx_small_L_spectrum(spec: OhmicSystemSpec, k_max: int = 10000) -> SmallLSpectrum:
-    """Leading small-cavity displacements of the mode ladder.
+def approx_small_L_spectrum(
+    spec: OhmicSystemSpec, k_max: int = 10000, regime: str = "weak"
+) -> NormalModeSet:
+    """First-order small-cavity modes with their particle weights.
 
     The lowest mode drops to omega_0 = bar_omega/sqrt(1 + pi*delta) and
-    ladder mode k shifts by
+    ladder mode k = 1..k_max shifts to (k + epsilon_k)*delta_omega with
 
         epsilon_k = (delta/pi) * k / (k**2 - rho**2),    rho = bar_omega*L/(2*pi*c).
 
+    The lowest mode keeps almost all of the particle: w0 = 1 - pi*delta in
+    the weak-coupling ``regime``, w0 = 1/(1 + pi*delta/2) in the strong
+    one.  Every ladder mode k carries w_k = 2*delta/(pi*k**2) in both.
+
     Requires the bath spacing to clear the particle frequency (rho < 1,
     equivalently delta < pi*beta), else the displaced ladder would not
-    stay ordered.  Warns when delta exceeds a
-    tenth of the validity factor instead of failing: the formulas stay
-    evaluable, just increasingly unfaithful.
+    stay ordered, and pi*delta < 1: past it the weak w0 is not positive
+    and the strong weights sum above 1.  Warns when delta exceeds a tenth
+    of the validity factor, and once delta passes 0.05, where the dropped
+    delta**2 terms of the weights reach the percent scale, instead of
+    failing: the formulas stay evaluable, just increasingly unfaithful.
     """
+    if regime not in ("weak", "strong"):
+        raise InputError(f"regime must be 'weak' or 'strong', got {regime!r}")
     if not isinstance(k_max, int) or k_max < 1:
         raise InputError(f"k_max must be a positive integer, got {k_max!r}")
     d = derive_parameters(spec)
@@ -412,12 +404,28 @@ def approx_small_L_spectrum(spec: OhmicSystemSpec, k_max: int = 10000) -> SmallL
     eps = (d.delta / math.pi) * k / gap
     if np.any(eps <= 0.0) or np.any(eps >= 1.0):
         raise ParameterError("mode displacements left (0, 1); delta is too large")
-    omega_0 = spec.bar_omega / math.sqrt(1.0 + math.pi * d.delta)
-    return SmallLSpectrum(
-        omega_0=omega_0,
-        epsilons=eps,
-        validity_factor=factors.full,
-        k_max=k_max,
+    if d.delta > 0.05:
+        warnings.warn(
+            f"delta = {d.delta:.6g} > 0.05: first-order cavity weights are "
+            "only indicative here",
+            stacklevel=2,
+        )
+    if math.pi * d.delta >= 1.0:
+        raise ParameterError(
+            "first-order cavity weights need pi*delta < 1 "
+            f"(got pi*delta = {math.pi * d.delta:.6g})"
+        )
+    if regime == "weak":
+        w0 = 1.0 - math.pi * d.delta
+    else:
+        w0 = 1.0 / (1.0 + 0.5 * math.pi * d.delta)
+    return NormalModeSet(
+        frequencies=np.concatenate(
+            ([spec.bar_omega / math.sqrt(1.0 + math.pi * d.delta)],
+             d.delta_omega * (k + eps))
+        ),
+        weights=np.concatenate(([w0], 2.0 * d.delta / (math.pi * k**2))),
+        source=ModeSource.SMALL_L_ASYMPTOTIC,
         spec_snapshot=spec,
     )
 

@@ -8,7 +8,8 @@ normal-mode frequencies alone: column r is
 
 which is exactly the eigenvector of the potential matrix for eigenvalue
 Omega_r**2, normalized and sign-fixed.  The cavity and small-cavity routes
-only ever need the particle row (t_0^r)**2, exposed here as weight helpers.
+only ever need the particle row (t_0^r)**2, which their mode sets carry as
+weights.
 
 ``expansion_coefficient`` gives the overlap of a bare particle Fock level
 with a product of normal-mode levels: a square-rooted multinomial times
@@ -19,7 +20,6 @@ levels degrade gracefully to zero instead of overflowing.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,18 +29,15 @@ from .errors import (
     InputError,
     NumericalFailure,
     OverflowGuardError,
-    ParameterError,
     SingularityError,
 )
 from .model import OhmicSystemSpec, derive_parameters
-from .spectrum import ModeSource, NormalModeSet, _mode_weights
+from .spectrum import ModeSource, NormalModeSet
 
 __all__ = [
     "TransformMatrix",
     "ExpansionCoefficient",
     "finite_matrix",
-    "cavity_weight_row",
-    "small_L_weights",
     "dressed_from_normal",
     "expansion_coefficient",
 ]
@@ -112,50 +109,6 @@ def finite_matrix(spec: OhmicSystemSpec, modes: NormalModeSet) -> TransformMatri
             f"transform columns miss orthonormality by {gram_err:.3e}"
         )
     return TransformMatrix(entries=t, source=ModeSource.FINITE_N)
-
-
-def cavity_weight_row(spec: OhmicSystemSpec, modes: NormalModeSet) -> np.ndarray:
-    """Particle weights (t_0^r)**2 for a cavity mode set.
-
-    Recomputes the closed-form weight at each mode frequency; useful as an
-    independent audit of the weights a solver attached to the set.
-    """
-    if modes.source is not ModeSource.CAVITY_CLOSED_FORM:
-        raise InputError("cavity_weight_row needs a cavity mode set")
-    d = derive_parameters(spec)
-    return _mode_weights(d, spec.bar_omega**2, spec.g, modes.frequencies)
-
-
-def small_L_weights(spec: OhmicSystemSpec, regime: str, k_max: int):
-    """Leading small-cavity weights (w0, [w1..w_kmax]).
-
-    The lowest mode keeps almost all of the particle: w0 = 1 - pi*delta in
-    the weak-coupling regime, w0 = 1/(1 + pi*delta/2) in the strong one.
-    Every ladder mode k carries w_k = 2*delta/(pi*k**2) in both regimes.
-    Warns once delta passes 0.05, where the dropped delta**2 terms reach
-    the percent scale.
-    """
-    if regime not in ("weak", "strong"):
-        raise InputError(f"regime must be 'weak' or 'strong', got {regime!r}")
-    if not isinstance(k_max, int) or k_max < 1:
-        raise InputError(f"k_max must be a positive integer, got {k_max!r}")
-    delta = derive_parameters(spec).delta
-    if delta > 0.05:
-        warnings.warn(
-            f"delta = {delta:.6g} > 0.05: first-order cavity weights are "
-            "only indicative here",
-            stacklevel=2,
-        )
-    if regime == "weak":
-        w0 = 1.0 - math.pi * delta
-        if w0 <= 0.0:
-            raise ParameterError(
-                f"weak-regime weight 1 - pi*delta is not positive at delta = {delta:.6g}"
-            )
-    else:
-        w0 = 1.0 / (1.0 + 0.5 * math.pi * delta)
-    k = np.arange(1, k_max + 1, dtype=float)
-    return w0, 2.0 * delta / (math.pi * k**2)
 
 
 def dressed_from_normal(

@@ -339,6 +339,17 @@ def test_cavity_survival_series_memory_is_bounded():
         assert cavity_survival_series(pair, modes.frequencies, t[[k]])[0] == full[k]
 
 
+def test_cavity_survival_series_refuses_oversized_mode_sums():
+    # 2**20 + 1 modes x 129 times is just over 2**27 phase terms, about
+    # 6 s of work; the guard fires before any block runs
+    wk = np.full(2**20, 1e-7)
+    freqs = np.arange(1.0, wk.size + 2.0)
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="2\\*\\*27 phase terms"):
+        cavity_survival_series((0.5, wk), freqs, np.linspace(0.0, 1.0, 129))
+    assert time.perf_counter() - start < 0.5
+
+
 def test_cavity_survival_series_guards():
     with pytest.raises(InputError):
         cavity_survival_series((0.9, np.array([0.05])), np.array([1.0]), [0.0])

@@ -240,6 +240,13 @@ def test_validate_command(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == out
 
 
+def test_validate_notes_the_small_cavity_form_only_below_pi_delta_one(capsys):
+    rc, out, _ = run_cli(capsys, "validate", "--beta", "0.3", "--delta", "0.3")
+    assert rc == 0 and "first-order small-cavity form gives" in out
+    rc, out, _ = run_cli(capsys, "validate", "--beta", "0.3", "--delta", "0.5")
+    assert rc == 0 and "first-order small-cavity form" not in out
+
+
 def test_validate_refuses_large_baths_at_once(capsys):
     # the dense Jacobi check would take seconds at n_modes = 401; the cap
     # must refuse before any of that work starts
@@ -317,6 +324,36 @@ def test_oversized_quadrature_grid_fails_fast(capsys):
         assert rc == 1
         assert message in err
         assert time.perf_counter() - start < 0.5
+
+
+def test_oversized_spectrum_and_mode_sum_fail_fast(capsys):
+    # a 5001-mode finite bath (O(N**2) solve) and a 2001-mode x 70000-time
+    # cavity curve (1.4e8 phase terms, over 2**27) both exit 1 at once
+    for args, message in (
+        (("spectrum", "--n-modes", "5001", "--beta", "0.3", "--delta", "0.7"),
+         "capped at n_modes = 5000"),
+        (("cavity", "--k-max", "2000", "--samples", "70000", "--beta", "0.1",
+          "--delta", "0.05"), "2**27 phase terms"),
+    ):
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, *args, "--bar-omega", "1.0",
+                               "--light-speed", "1.0")
+        assert time.perf_counter() - start < 0.5
+        assert rc == 1 and out == ""
+        assert message in err
+
+
+def test_small_l_weights_need_pi_delta_below_one(capsys):
+    # at delta = 1 the strong weights would sum to 1.32, with ladder mode 1
+    # (0.637) above w0 (0.389)
+    for regime in ("weak", "strong"):
+        rc, out, err = run_cli(capsys, "spectrum", "--route", "small-l",
+                               "--regime", regime, "--bar-omega", "1",
+                               "--beta", "10", "--delta", "1",
+                               "--light-speed", "1", "--k-max", "5")
+        assert rc == 1 and out == ""
+        assert err.endswith("error: first-order cavity weights need pi*delta < 1 "
+                            "(got pi*delta = 3.14159)\n")
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from dressedbath import (
@@ -98,17 +97,6 @@ def test_regime_is_scale_invariant():
         near = OhmicSystemSpec(bar_omega=scale, g=scale * 2.0 / math.pi,
                                cavity_L=1.0)
         assert classify_regime(near).kind is RegimeKind.CRITICAL
-
-
-def test_bath_ladder_accessors():
-    spec = OhmicSystemSpec(bar_omega=1.0, g=0.2, cavity_L=1.0, n_modes=4,
-                           light_speed=1.0)
-    d = derive_parameters(spec)
-    k = np.arange(1, 5)
-    assert np.allclose(d.omega_k(k), k * d.delta_omega, rtol=1e-15)
-    assert np.allclose(d.c_k(k), d.eta * k * d.delta_omega, rtol=1e-15)
-    with pytest.raises(ParameterError):
-        d.omega_k(0)
 
 
 def test_spec_is_frozen_and_hashable():

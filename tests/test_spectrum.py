@@ -1,6 +1,7 @@
 """Spectrum solvers against closed forms and high-precision root finding."""
 
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -121,6 +122,16 @@ def test_strong_coupling_spectrum_stays_stable():
     assert modes.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_finite_spectrum_refuses_large_baths_at_once():
+    # the secular solve is O(N**2) in time and memory: N = 5000 takes about
+    # 5 s and 0.6 GB, so N = 5001 must fail before any of that work starts
+    spec = OhmicSystemSpec.from_dimensionless(beta=0.3, delta=0.7, n_modes=5001)
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="capped at n_modes = 5000"):
+        solve_finite_spectrum(spec)
+    assert time.perf_counter() - start < 0.5
+
+
 # ---------------------------------------------------------------------------
 # cavity route
 # ---------------------------------------------------------------------------
@@ -225,18 +236,22 @@ def test_cavity_guards():
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_small_L_lowest_mode_and_displacements():
     spec = OhmicSystemSpec.from_dimensionless(beta=1.0 / 137, delta=0.005)
-    approx = approx_small_L_spectrum(spec, k_max=50)
+    modes = approx_small_L_spectrum(spec, k_max=50)
     d = derive_parameters(spec)
-    assert approx.omega_0 == pytest.approx(1.0 / math.sqrt(1.0 + math.pi * 0.005),
-                                           rel=1e-15)
+    assert modes.source is ModeSource.SMALL_L_ASYMPTOTIC
+    assert modes.spec_snapshot == spec
+    assert modes.frequencies.shape == modes.weights.shape == (51,)
+    assert modes.frequencies[0] == pytest.approx(
+        1.0 / math.sqrt(1.0 + math.pi * 0.005), rel=1e-15)
     rho = spec.bar_omega / d.delta_omega
     k = np.arange(1, 51)
     eps_ref = (0.005 / math.pi) * k / (k**2 - rho**2)
-    assert np.allclose(approx.epsilons, eps_ref, rtol=1e-14)
-    assert np.all((approx.epsilons > 0) & (approx.epsilons < 1))
-    freqs = approx.frequencies()
-    assert freqs.shape == (51,)
-    assert np.all(np.diff(freqs) > 0)
+    assert np.allclose(modes.frequencies[1:], d.delta_omega * (k + eps_ref),
+                       rtol=1e-15, atol=0.0)
+    # every displacement stays inside its own ladder gap
+    ladder = modes.frequencies[1:] / d.delta_omega
+    assert np.all((ladder > k) & (ladder < k + 1))
+    assert np.all(np.diff(modes.frequencies) > 0)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -245,7 +260,7 @@ def test_small_L_tracks_exact_cavity_ladder():
     spec = OhmicSystemSpec.from_dimensionless(beta=1.0 / 137, delta=0.005)
     exact = solve_cavity_spectrum(spec, k_max=50, variant="rederived")
     approx = approx_small_L_spectrum(spec, k_max=50)
-    rel = np.abs(approx.frequencies()[1:] / exact.frequencies[1:] - 1.0)
+    rel = np.abs(approx.frequencies[1:] / exact.frequencies[1:] - 1.0)
     assert np.max(rel) < 1e-4
 
 

@@ -11,12 +11,11 @@ from dressedbath import (
     OhmicSystemSpec,
     OverflowGuardError,
     ParameterError,
-    cavity_weight_row,
+    approx_small_L_spectrum,
     derive_parameters,
     dressed_from_normal,
     expansion_coefficient,
     finite_matrix,
-    small_L_weights,
     solve_cavity_spectrum,
     solve_finite_spectrum,
 )
@@ -88,47 +87,55 @@ def test_dressed_from_normal_shape_guard():
         dressed_from_normal(np.zeros(6), tm, modes, spec)
 
 
-def test_cavity_weight_row_consistency():
-    spec = OhmicSystemSpec.from_dimensionless(beta=0.2, delta=0.01)
-    modes = solve_cavity_spectrum(spec, k_max=100, variant="rederived")
-    row = cavity_weight_row(spec, modes)
-    assert np.allclose(row, modes.weights, rtol=1e-14)
-    finite = solve_finite_spectrum(spec)
-    with pytest.raises(InputError):
-        cavity_weight_row(spec, finite)
+# ---------------------------------------------------------------------------
+# small-cavity particle weights, carried by the small-cavity mode set
+# ---------------------------------------------------------------------------
 
-
+@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_small_L_weight_values():
     spec = OhmicSystemSpec.from_dimensionless(beta=1.0 / 137, delta=0.005)
-    w0, ladder = small_L_weights(spec, "weak", 1000)
+    weak = approx_small_L_spectrum(spec, k_max=1000, regime="weak")
+    w0, ladder = weak.weights[0], weak.weights[1:]
     assert w0 == pytest.approx(1.0 - math.pi * 0.005, rel=1e-15)
     k = np.arange(1, 1001)
-    assert np.allclose(ladder, 2.0 * 0.005 / (math.pi * k**2), rtol=1e-15)
+    assert np.allclose(ladder, 2.0 * 0.005 / (math.pi * k**2), rtol=1e-15, atol=0.0)
     # zeta(2) closes the ladder sum: total deficit is ~ -2 pi delta/3 + w0
     total = w0 + ladder.sum()
     assert total < 1.0
     assert total == pytest.approx(1.0 - 2.0 * math.pi * 0.005 / 3.0, abs=1e-4)
 
-    w0s, _ = small_L_weights(spec, "strong", 10)
-    assert w0s == pytest.approx(1.0 / (1.0 + 0.5 * math.pi * 0.005), rel=1e-15)
+    strong = approx_small_L_spectrum(spec, k_max=10, regime="strong")
+    assert strong.weights[0] == pytest.approx(1.0 / (1.0 + 0.5 * math.pi * 0.005),
+                                              rel=1e-15)
+    # only w0 depends on the regime
+    assert np.array_equal(strong.weights[1:], ladder[:10])
+    assert np.array_equal(strong.frequencies, weak.frequencies[:11])
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_small_L_weight_guards():
-    big = OhmicSystemSpec.from_dimensionless(beta=1.0, delta=0.4)
-    with pytest.raises(ParameterError):
-        small_L_weights(big, "weak", 10)
+    # pi*delta >= 1: the weak w0 = 1 - pi*delta is not positive, and the
+    # strong weights sum above 1 (about 1.32 here at k_max = 5)
+    for beta, delta in ((1.0, 0.4), (10.0, 1.0)):
+        big = OhmicSystemSpec.from_dimensionless(beta=beta, delta=delta)
+        for regime in ("weak", "strong"):
+            with pytest.raises(ParameterError, match=r"pi\*delta < 1"):
+                approx_small_L_spectrum(big, k_max=5, regime=regime)
+    # just below the bound both weight rows still sum below 1
+    edge = OhmicSystemSpec.from_dimensionless(beta=1.0, delta=0.99 / math.pi)
+    for regime in ("weak", "strong"):
+        assert approx_small_L_spectrum(edge, k_max=10000, regime=regime).weights.sum() < 1.0
     spec = OhmicSystemSpec.from_dimensionless(beta=0.1, delta=0.01)
     with pytest.raises(InputError):
-        small_L_weights(spec, "tepid", 10)
+        approx_small_L_spectrum(spec, k_max=10, regime="tepid")
     with pytest.raises(InputError):
-        small_L_weights(spec, "weak", 0)
+        approx_small_L_spectrum(spec, k_max=0)
 
 
 def test_small_L_weight_warning():
     spec = OhmicSystemSpec.from_dimensionless(beta=1.0, delta=0.06)
     with pytest.warns(UserWarning, match="indicative"):
-        small_L_weights(spec, "strong", 10)
+        approx_small_L_spectrum(spec, k_max=10, regime="strong")
 
 
 # ---------------------------------------------------------------------------
