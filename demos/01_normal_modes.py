@@ -2,8 +2,9 @@
 
 Walks the smallest interesting system (N = 8 bath modes) through both
 solver routes: the secular-equation root hunt and the dense Jacobi
-eigensolve, then inspects how the particle's spectral weight spreads as
-the coupling grows.
+eigensolve (one-sided Jacobi on the exact factor C of the potential
+matrix M = C^T C), then inspects how the particle's spectral weight
+spreads as the coupling grows.
 """
 
 import numpy as np

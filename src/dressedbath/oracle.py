@@ -2,13 +2,17 @@
 
 Everything else in the package computes spectra and amplitudes from
 root-finding on secular functions.  This module goes the brute-force way:
-build the (N+1) x (N+1) potential matrix explicitly and diagonalize it
-with a cyclic Jacobi sweep.  Jacobi is chosen over a Householder
-tridiagonalization on purpose: with a *relative* rotation threshold it
-computes the small eigenvalues of this graded matrix (entries span many
-orders of magnitude once N is large) to high relative accuracy, which the
-1e-10 cross-checks need, and its simplicity makes it an independent
-witness rather than a re-derivation.
+build the (N+1) x (N+1) potential matrix M and its exact factor C, with
+M = C^T C, and diagonalize by one-sided (Hestenes) Jacobi on C.  Jacobi is
+chosen over a Householder tridiagonalization on purpose.  Working on C
+never forms the rounded omega0**2 = bar_omega**2 + N*eta**2, and with a
+relative rotation threshold one-sided Jacobi computes the small
+eigenvalues of this graded problem (entries span many orders of magnitude
+once N or the coupling is large) to high relative accuracy (Demmel and
+Veselic 1992), which the 1e-10 cross-checks need.  A round-robin pair
+order (Brent and Luk 1985) rotates floor(n/2) disjoint column pairs at
+once, so each step is one pass of numpy arithmetic.  Its simplicity keeps
+it an independent witness rather than a re-derivation.
 
 ``cross_validate`` runs the full battery of cross-route checks and returns
 a deterministic plain-text report; it never aborts on a failing check,
@@ -45,22 +49,40 @@ _MAX_SWEEPS = 100
 _MAX_DENSE_MODES = 400
 
 
+def _frozen_square(name, value, dim=None) -> np.ndarray:
+    # a copy, so freezing it leaves the caller's array writable
+    m = np.array(value, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InputError(f"{name} must be square")
+    if dim is not None and m.shape[0] != dim:
+        raise InputError(f"{name} must have the dimension of the potential matrix")
+    if not np.all(np.isfinite(m)):
+        raise InputError(f"{name} must be finite")
+    m.setflags(write=False)
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class PotentialMatrix:
-    """Symmetric positive-definite quadratic form of the coupled system."""
+    """Symmetric positive-definite quadratic form of the coupled system.
+
+    ``factor``, when given, is a square C with C^T C = ``entries`` whose
+    entries are exact inputs rather than rounded products; the eigensolver
+    works on it instead of a Cholesky factor of ``entries``.
+    """
 
     entries: np.ndarray
+    factor: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InputError("potential matrix must be square")
-        if not np.all(np.isfinite(m)):
-            raise InputError("potential matrix must be finite")
+        m = _frozen_square("potential matrix", self.entries)
         if not np.array_equal(m, m.T):
             raise InputError("potential matrix must be exactly symmetric")
-        m.setflags(write=False)
         object.__setattr__(self, "entries", m)
+        if self.factor is not None:
+            object.__setattr__(
+                self, "factor", _frozen_square("factor", self.factor, m.shape[0])
+            )
 
     @property
     def dim(self) -> int:
@@ -68,75 +90,119 @@ class PotentialMatrix:
 
 
 def build_potential_matrix(spec: OhmicSystemSpec) -> PotentialMatrix:
-    """[[omega0**2, -c_k], [-c_k, diag(omega_k**2)]] for the finite bath."""
+    """[[omega0**2, -c_k], [-c_k, diag(omega_k**2)]] for the finite bath.
+
+    Its factor is C = [[bar_omega, 0], [eta, -diag(omega_k)]], built from
+    the inputs themselves: omega0**2 = bar_omega**2 + N*eta**2 is never
+    rounded on this route, which the lowest mode at strong coupling needs.
+    """
     d = derive_parameters(spec)
     n = spec.n_modes
-    omega_k = d.delta_omega * np.arange(1, n + 1)
+    k = np.arange(1, n + 1)
+    omega_k = d.delta_omega * k
     m = np.zeros((n + 1, n + 1))
     m[0, 0] = d.omega0**2
-    m[np.arange(1, n + 1), np.arange(1, n + 1)] = omega_k**2
+    m[k, k] = omega_k**2
     m[0, 1:] = -d.eta * omega_k
     m[1:, 0] = -d.eta * omega_k
-    return PotentialMatrix(entries=m)
+    c = np.zeros((n + 1, n + 1))
+    c[0, 0] = spec.bar_omega
+    c[1:, 0] = d.eta
+    c[k, k] = -omega_k
+    return PotentialMatrix(entries=m, factor=c)
 
 
 def eigen_decompose(matrix: PotentialMatrix):
-    """Cyclic Jacobi diagonalization with a relative rotation threshold.
+    """One-sided (Hestenes) Jacobi on the factor C of M = C^T C.
 
-    Rotates away every off-diagonal entry larger than 1e-15 *
-    sqrt(a_pp * a_qq); a full sweep without rotations means convergence.
+    Rotates pairs of columns of C until they are mutually orthogonal:
+    C V = U diag(sigma), so M = V diag(sigma**2) V^T.  The eigenvalues are
+    the squared final column norms and never pass through a rounded M,
+    which keeps the small ones accurate to high relative precision
+    (Demmel and Veselic 1992).  Each sweep visits every pair once in the
+    round-robin order of Brent and Luk (1985): an odd dimension gets a
+    zero column, which never rotates, and then m columns make m/2 disjoint
+    pairs that rotate together in each of m - 1 steps.  A pair rotates
+    while its inner product exceeds 1e-15 times the product of its norms;
+    a sweep without rotations means convergence.  Every reduction is
+    elementwise, so the bytes do not depend on BLAS threading.
+
     Returns (eigenvalues ascending, eigenvectors as columns), eigenvector
     signs fixed so the first nonvanishing component is positive.  Raises
-    NumericalFailure if 100 sweeps do not converge or the residual
-    off-diagonal mass exceeds 1e-12 * ||M||.
+    StabilityError if M is not positive definite and has no factor, and
+    NumericalFailure if 100 sweeps do not converge or the off-diagonal
+    mass of V^T M V exceeds 1e-12 * ||M||.
     """
-    a = matrix.entries.copy()
+    factor = matrix.factor
+    if factor is None:
+        try:
+            factor = np.linalg.cholesky(matrix.entries).T
+        except np.linalg.LinAlgError:
+            raise StabilityError("potential matrix is not positive definite") from None
     n = matrix.dim
-    v = np.eye(n)
+    m = n + n % 2
+    h = m // 2
+    # row j holds column j of C, then column j of V (V starts as I); the
+    # top half of the rows pairs with the bottom half, row i with row h + i
+    w = np.zeros((m, 2 * n))
+    w[:n, :n] = factor.T
+    w[np.arange(n), n + np.arange(n)] = 1.0
+    # one round-robin step: row 0 stays and every other row moves one
+    # place around the ring; m - 1 steps bring every row home.  With two
+    # rows there is one pair and nothing moves.
+    ring = np.r_[0, h, 1:h - 1, h + 1:m, h - 1] if m > 2 else np.arange(m)
+    moved = np.empty_like(w)
+    sin_y = np.empty((h, 2 * n))
+    sin_x = np.empty((h, 2 * n))
     for _ in range(_MAX_SWEEPS):
         rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= _REL_ROTATE_THRESHOLD * math.sqrt(a[p, p] * a[q, q]):
-                    continue
+        for _ in range(m - 1):
+            cols = w[:, :n]
+            norms = np.einsum("ij,ij->i", cols, cols)
+            a, b = norms[:h], norms[h:]
+            g = np.einsum("ij,ij->i", cols[:h], cols[h:])
+            rotate = np.abs(g) > _REL_ROTATE_THRESHOLD * np.sqrt(a * b)
+            if rotate.any():
                 rotated = True
-                app, aqq = a[p, p], a[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, :] = a[:, p]
-                a[q, :] = a[:, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
+                # a pair left alone gets t = 0, so c = 1, s = 0 exactly
+                tau = (b - a) / (2.0 * np.where(rotate, g, 1.0))
+                t = np.where(
+                    rotate,
+                    np.copysign(1.0, tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau)),
+                    0.0,
+                )
+                c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
+                s = t[:, None] * c
+                x, y = w[:h], w[h:]
+                np.multiply(s, y, out=sin_y)
+                np.multiply(s, x, out=sin_x)
+                x *= c
+                x -= sin_y
+                y *= c
+                y += sin_x
+            # every index is in range, and mode="clip" lets take write
+            # straight into `moved` where the default mode buffers
+            np.take(w, ring, axis=0, out=moved, mode="clip")
+            w, moved = moved, w
         if not rotated:
             break
     else:
         raise NumericalFailure("Jacobi did not converge within 100 sweeps")
 
-    off = a - np.diag(np.diag(a))
-    norm = np.linalg.norm(matrix.entries)
-    if np.linalg.norm(off) > 1e-12 * norm:
-        raise NumericalFailure("Jacobi residual off-diagonal mass exceeds 1e-12")
-    eigvals = np.diag(a).copy()
+    cols = w[:n, :n]
+    eigvals = np.einsum("ij,ij->i", cols, cols)
     order = np.argsort(eigvals, kind="stable")
     eigvals = eigvals[order]
-    vecs = v[:, order]
+    vecs = w[:n, n:].T[:, order]
     for col in range(n):
         nz = np.flatnonzero(vecs[:, col])
         if nz.size and vecs[nz[0], col] < 0.0:
             vecs[:, col] = -vecs[:, col]
+    # a pass/fail check only, so its matmuls may use BLAS
+    off = vecs.T @ matrix.entries @ vecs
+    off[np.diag_indices(n)] = 0.0
+    if np.linalg.norm(off) > 1e-12 * np.linalg.norm(matrix.entries):
+        raise NumericalFailure("Jacobi residual off-diagonal mass exceeds 1e-12")
     return eigvals, vecs
 
 

@@ -247,6 +247,18 @@ def test_validate_notes_the_small_cavity_form_only_below_pi_delta_one(capsys):
     assert rc == 0 and "first-order small-cavity form" not in out
 
 
+@pytest.mark.parametrize("args", [
+    ("--beta", "30"),
+    ("--beta", "100"),
+    ("--beta", "3", "--delta", "0.05", "--n-modes", "120"),
+])
+def test_validate_passes_at_strong_coupling(capsys, args):
+    # the dense route's lowest mode stays within the 1e-10 spectrum gate
+    # where a rounded omega0**2 would leave an error above it
+    rc, out, _ = run_cli(capsys, "validate", *args)
+    assert rc == 0 and "result: all checks passed" in out
+
+
 def test_validate_refuses_large_baths_at_once(capsys):
     # the dense Jacobi check would take seconds at n_modes = 401; the cap
     # must refuse before any of that work starts

@@ -3,8 +3,11 @@
 import math
 from collections import Counter
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dressedbath import (
     CheckResult,
@@ -13,6 +16,7 @@ from dressedbath import (
     NumericalFailure,
     OhmicSystemSpec,
     PotentialMatrix,
+    StabilityError,
     build_potential_matrix,
     cross_validate,
     derive_parameters,
@@ -48,9 +52,60 @@ def test_potential_matrix_validation():
         PotentialMatrix(entries=np.array([[1.0, 2.0], [2.0 + 1e-15, 1.0]]))
     with pytest.raises(InputError):
         PotentialMatrix(entries=np.array([[np.nan, 0.0], [0.0, 1.0]]))
-    frozen = PotentialMatrix(entries=np.eye(3))
+    given = np.eye(3)
+    frozen = PotentialMatrix(entries=given)
     assert not frozen.entries.flags.writeable
+    assert given.flags.writeable
     assert frozen.dim == 3
+
+
+def test_potential_matrix_factor_validation():
+    with pytest.raises(InputError):
+        PotentialMatrix(entries=np.eye(3), factor=np.eye(2))
+    with pytest.raises(InputError):
+        PotentialMatrix(entries=np.eye(2), factor=np.zeros((2, 3)))
+    with pytest.raises(InputError):
+        PotentialMatrix(entries=np.eye(2), factor=np.array([[1.0, 0.0], [np.inf, 1.0]]))
+    assert PotentialMatrix(entries=np.eye(2)).factor is None
+    built = build_potential_matrix(SPEC)
+    assert built.factor.shape == built.entries.shape
+    assert not built.factor.flags.writeable
+
+
+@pytest.mark.parametrize("n_modes", [1, 8, 39])
+def test_factor_reproduces_the_potential_matrix(n_modes):
+    # C^T C, each entry summed with a single rounding (fsum), against the
+    # rounded entries; an entry's scale is the sum of its terms' magnitudes
+    spec = OhmicSystemSpec(bar_omega=1.0, g=0.7, cavity_L=1.0, n_modes=n_modes,
+                           light_speed=1.0)
+    built = build_potential_matrix(spec)
+    c = built.factor
+    dim = built.dim
+    for i in range(dim):
+        for j in range(dim):
+            terms = c[:, i] * c[:, j]
+            scale = math.fsum(np.abs(terms))
+            gap = abs(math.fsum(terms) - built.entries[i, j])
+            assert gap <= 4.0 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("entries", [
+    [[1.0, 2.0], [2.0, 1.0]],
+    [[-1.0, 0.5], [0.5, 1.0]],
+    [[0.0, 1.0], [1.0, 1.0]],
+])
+def test_jacobi_refuses_a_matrix_that_is_not_positive_definite(entries):
+    with pytest.raises(StabilityError):
+        eigen_decompose(PotentialMatrix(entries=np.array(entries)))
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 7, 8, 40, 41])
+def test_jacobi_orthonormal_in_odd_and_even_dimensions(n_modes):
+    # dimension n_modes + 1: odd dimensions pair one column with a zero pad
+    spec = OhmicSystemSpec.from_dimensionless(2.0, 0.3, n_modes=n_modes)
+    eigvals, vecs = eigen_decompose(build_potential_matrix(spec))
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(n_modes + 1))) < 1e-13
+    assert np.all(np.diff(eigvals) > 0.0)
 
 
 def test_jacobi_two_by_two_closed_form():
@@ -96,6 +151,55 @@ def test_dense_mode_set_matches_secular_route():
     secular = solve_finite_spectrum(SPEC)
     assert np.max(np.abs(dense.frequencies / secular.frequencies - 1.0)) < 1e-10
     assert np.max(np.abs(dense.weights - secular.weights)) < 1e-10
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    log_beta=st.floats(-3.0, 2.0),
+    log_delta=st.floats(-3.0, math.log10(4.0)),
+    n_modes=st.integers(1, 60),
+)
+def test_dense_route_matches_secular_route_everywhere(log_beta, log_delta, n_modes):
+    spec = OhmicSystemSpec.from_dimensionless(10.0**log_beta, 10.0**log_delta,
+                                              n_modes=n_modes)
+    dense = mode_set_from_dense(spec)
+    secular = solve_finite_spectrum(spec)
+    assert np.max(np.abs(dense.frequencies / secular.frequencies - 1.0)) <= 1e-13
+    assert np.max(np.abs(dense.weights - secular.weights)) <= 1e-12
+    ladder = derive_parameters(spec).delta_omega * np.arange(1, n_modes + 1)
+    assert np.all(secular.frequencies[:-1] < ladder)
+    assert np.all(ladder < secular.frequencies[1:])
+    assert abs(math.fsum(secular.weights) - 1.0) <= 1e-12
+
+
+# lowest normal-mode frequency at N = 8, delta = 0.05, bar_omega = 1, from
+# mp.eigsy at 50 digits on the potential matrix built from the spec's
+# double-precision eta and delta_omega, with omega0**2 formed at 50 digits
+LOWEST_50_DIGITS = {
+    3.0: "0.9765418820140044675411710754968241384908610544967",
+    30.0: "0.97654230806288030257736889408550809029533380570908",
+    100.0: "0.97654231197899441411141981948839176178719574348487",
+}
+
+
+@pytest.mark.parametrize("beta", sorted(LOWEST_50_DIGITS))
+def test_dense_lowest_mode_against_fifty_digits(beta):
+    spec = OhmicSystemSpec.from_dimensionless(beta, 0.05, n_modes=8)
+    d = derive_parameters(spec)
+    n = spec.n_modes
+    with mp.workdps(50):
+        eta = mp.mpf(d.eta)
+        omega_k = [mp.mpf(d.delta_omega) * k for k in range(1, n + 1)]
+        m = mp.zeros(n + 1, n + 1)
+        m[0, 0] = mp.mpf(spec.bar_omega) ** 2 + n * eta**2
+        for k in range(1, n + 1):
+            m[k, k] = omega_k[k - 1] ** 2
+            m[0, k] = m[k, 0] = -eta * omega_k[k - 1]
+        lowest = mp.sqrt(min(mp.eigsy(m, eigvals_only=True)))
+        frozen = mp.mpf(LOWEST_50_DIGITS[beta])
+        assert abs(lowest / frozen - 1) < mp.mpf("1e-45")
+    dense = mode_set_from_dense(spec).frequencies[0]
+    assert abs(dense / float(frozen) - 1.0) <= 1e-14
 
 
 def test_dense_route_mode_cap():
