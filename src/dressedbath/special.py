@@ -1,4 +1,4 @@
-"""Scaled exponential integrals that stay finite at large arguments.
+"""Scaled exponential integrals, and the digamma and trigamma functions.
 
 The damped-oscillator branch-cut integrals reduce to combinations like
 exp(z)*E1(z) and exp(-x)*Ei(x).  Both factors overflow or underflow double
@@ -37,6 +37,12 @@ from 1 to 60, and the positive axis from 1 to 6 (scipy's exp1 was 8.5e-13
 off on the same points).  ei_scaled was 1.6e-15 off on 1,995 points from
 1e-3 to 1e6, leaving out 0.01 either side of the zero of Ei at x = 0.3725,
 where the absolute error stays below 1e-16.
+
+``psi`` and ``psi1`` (digamma and trigamma, real z > 0) carry the digamma
+tail of the finite bath's secular sum.  Each steps z up by the recurrences
+psi(z) = psi(z+1) - 1/z and psi1(z) = psi1(z+1) + 1/z**2 until z >= 12, then
+sums the Bernoulli asymptotic series (A&S 6.3.18 and 6.4.12) through
+B_16, whose first omitted term is below 4e-17 relative at z = 12.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ import math
 
 import numpy as np
 
-__all__ = ["exp1_scaled", "ei_scaled"]
+__all__ = ["exp1_scaled", "ei_scaled", "psi", "psi1"]
 
 _EULER = 0.57721566490153286061
 _ASYMPTOTIC_CUT = 600.0     # |Re z| above this: asymptotic series
@@ -204,3 +210,67 @@ def ei_scaled(x):
         xa = x_arr[lanes]
         out[lanes] = _asymptotic(1.0 / xa, xa)
     return float(out[0]) if scalar else out
+
+
+# ---------------------------------------------------------------------------
+# digamma and trigamma
+# ---------------------------------------------------------------------------
+
+_PSI_SWITCH = 12.0
+# B_2 .. B_16, highest first for Horner's rule in 1/z**2
+_BERNOULLI = (-3617.0 / 510.0, 7.0 / 6.0, -691.0 / 2730.0, 5.0 / 66.0,
+              -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 1.0 / 6.0)
+
+
+def _shifted(z, power):
+    """z + m and sum_{i<m} (z+i)**-power, m the fewest steps to reach 12.
+
+    The sum comes as a pair (s, e), s the sum in double precision and e its
+    rounding error, which psi keeps apart, since its sum cancels against
+    log(z + m) near the zero of psi at 1.4616.  A lane's terms are summed
+    one by one, smallest first, after exact zeros in the columns it does
+    not use, and e gathers each addition's error by Knuth's TwoSum, so
+    neither depends on the other lanes of the call.
+    """
+    w = np.array(z, dtype=float).ravel()
+    total = np.zeros_like(w)
+    error = np.zeros_like(w)
+    lanes = np.flatnonzero(w < _PSI_SWITCH)
+    if lanes.size:
+        zs = w[lanes]
+        steps = np.ceil(_PSI_SWITCH - zs)
+        i = np.arange(steps.max() - 1.0, -1.0, -1.0)
+        terms = np.where(i < steps[:, None], (zs[:, None] + i) ** -power, 0.0)
+        sums = np.cumsum(terms, axis=1)
+        before = np.zeros_like(sums)
+        before[:, 1:] = sums[:, :-1]
+        added = sums - before
+        slips = (before - (sums - added)) + (terms - added)
+        total[lanes] = sums[:, -1]
+        error[lanes] = np.cumsum(slips, axis=1)[:, -1]
+        w[lanes] = zs + steps
+    return w, total, error
+
+
+def _scalar_or_array(z, out):
+    return float(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
+
+
+def psi(z):
+    """Digamma psi(z) = Gamma'(z)/Gamma(z) for real z > 0, elementwise."""
+    w, recur, error = _shifted(z, 1)
+    y = 1.0 / (w * w)
+    series = 0.0
+    for n, b in zip(range(len(_BERNOULLI), 0, -1), _BERNOULLI):
+        series = series * y + b / (2 * n)
+    return _scalar_or_array(z, ((np.log(w) - recur) - error) - (0.5 / w + y * series))
+
+
+def psi1(z):
+    """Trigamma psi'(z) for real z > 0, elementwise."""
+    w, recur, error = _shifted(z, 2)
+    y = 1.0 / (w * w)
+    series = 0.0
+    for b in _BERNOULLI:
+        series = series * y + b
+    return _scalar_or_array(z, (recur + error) + ((1.0 + 0.5 / w) + y * series) / w)

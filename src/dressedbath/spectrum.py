@@ -28,8 +28,14 @@ Three routes to the same physics, at different levels of approximation:
 Each route returns a ``NormalModeSet``: the frequencies together with the
 particle weights (t_0^r)**2.
 
-The two exact routes hand their brackets to one root kernel,
-``_bracketed_roots``, and share its stop rule.
+Both exact routes are truncations of one secular equation, and on each gap
+between two poles both take the form pi*eps = arccot(A(j + eps)), eps in
+(0, 1): the cavity's A is x/(pi*delta) + C/(2x), the N -> infinity collapse
+of the finite sum, and the finite A subtracts the digamma tail of the terms
+beyond k = N.  One root kernel, ``_bracketed_roots``, solves every gap by
+safeguarded Newton from a closed-form start, and the three edge lanes (the
+finite gaps below and above the ladder, cavity branch 0) go through it on
+their direct secular functions.
 
 ``cot_series_closed_form`` and ``series_identity_residual`` expose the
 series identity sum_{k>=1} 1/(k**2 - u**2) = 1/(2u**2) - pi*cot(pi*u)/(2u)
@@ -52,9 +58,9 @@ from .errors import (
     NumericalFailure,
     ParameterError,
     SingularityError,
-    StabilityError,
 )
 from .model import DerivedParams, OhmicSystemSpec, derive_parameters
+from .special import psi, psi1
 
 __all__ = [
     "ModeSource",
@@ -69,9 +75,9 @@ __all__ = [
 ]
 
 _WEIGHT_SUM_TOL = 1e-8
-# solve_finite_spectrum is O(N**2) in time and memory: N = 5000 takes
-# about 5 s and 0.6 GB on a 2-core VM.
-_MAX_FINITE_MODES = 5000
+# solve_finite_spectrum is O(N) in time and memory: N = 10**6 takes
+# about 2 s on a 2-core VM.
+_MAX_FINITE_MODES = 1_000_000
 
 
 class ModeSource(Enum):
@@ -132,55 +138,65 @@ SmallnessFactors = namedtuple("SmallnessFactors", ["full", "weak_limit", "strong
 # shared root kernel
 # ---------------------------------------------------------------------------
 
-_BISECT_REL_WIDTH = 1e-6
 _DONE_REL = 1e-13
-_MAX_BISECTIONS = 100
-_MAX_NEWTON_STEPS = 60
+_MAX_STEPS = 100
 
 
-def _bracketed_roots(f, slope, lo, hi):
-    """The root in each bracket [lo, hi] of a function decreasing on it.
+def _bracketed_roots(f, x, lo, hi):
+    """The root in each bracket [lo, hi] of a function that changes sign once.
 
-    ``f(x, lanes)`` and ``slope(x, lanes)`` evaluate the lanes indexed by
-    ``lanes`` at ``x``; every lane needs f(lo) > 0 > f(hi).  Each lane is
-    bisected to 1e-6 relative width, then polished by Newton steps.  A
-    Newton iterate equal to x is converged; one on or beyond a bracket end
-    is replaced by the bracket midpoint, which also breaks the lo/hi
-    2-cycle that a sign-quantised f can drive Newton into.  A lane stops
-    once its step or its bracket width is at most 1e-13 relative, and only
-    running lanes are evaluated.  Lanes still running after 60 steps raise
-    NumericalFailure.
+    ``f(x, lanes)`` returns the values and slopes at ``x`` of the lanes
+    indexed by ``lanes``; every lane needs f > 0 left of its root and f < 0
+    right of it.  Each lane starts at its own ``x`` in its bracket and takes
+    safeguarded Newton steps: every value moves the bracket end on its side
+    to x, and a Newton iterate equal to x is converged.  The bracket
+    midpoint replaces an iterate on or beyond a bracket end, which breaks
+    the lo/hi 2-cycle that a sign-quantised f can drive Newton into, and
+    one whose step is over half the lane's step before (the first may take
+    half the bracket), which breaks the slower cycles of Newton across an
+    inflection, as in ``rtsafe`` (Press et al., Numerical Recipes).  A lane
+    stops once its step or its bracket width is at most 1e-13 relative, and
+    only running lanes are evaluated.  Lanes still running after 100 steps
+    raise NumericalFailure.
     """
+    root = np.array(x, dtype=float)
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    lanes = np.arange(lo.size)
-    for _ in range(_MAX_BISECTIONS):
-        a, b = lo[lanes], hi[lanes]
-        wide = b - a > _BISECT_REL_WIDTH * 0.5 * (a + b)
-        lanes = lanes[wide]
-        if lanes.size == 0:
-            break
-        mid = 0.5 * (a[wide] + b[wide])
-        pos = f(mid, lanes) > 0.0
-        lo[lanes[pos]] = mid[pos]
-        hi[lanes[~pos]] = mid[~pos]
-
-    root = 0.5 * (lo + hi)
+    step = hi - lo
     lanes = np.arange(root.size)
-    for _ in range(_MAX_NEWTON_STEPS):
+    for _ in range(_MAX_STEPS):
         x = root[lanes]
-        fx = f(x, lanes)
+        fx, dfx = f(x, lanes)
         a = np.where(fx > 0.0, x, lo[lanes])
         b = np.where(fx < 0.0, x, hi[lanes])
-        nxt = x - fx / slope(x, lanes)
+        nxt = x - fx / dfx
         moved = nxt != x
-        nxt = np.where(moved & ~((nxt > a) & (nxt < b)), 0.5 * (a + b), nxt)
+        newton = (nxt > a) & (nxt < b) & (np.abs(nxt - x) <= 0.5 * step[lanes])
+        nxt = np.where(moved & ~newton, 0.5 * (a + b), nxt)
         root[lanes], lo[lanes], hi[lanes] = nxt, a, b
+        step[lanes] = np.abs(nxt - x)
         tol = _DONE_REL * np.abs(nxt)
         lanes = lanes[moved & (np.abs(nxt - x) > tol) & (b - a > tol)]
         if lanes.size == 0:
             return root
     raise NumericalFailure(f"{lanes.size} bracketed roots did not converge")
+
+
+def _arccot_roots(collapse, start, scale, width):
+    """Roots of scale*x = arccot(A(x)), one per lane, x in (0, width).
+
+    ``collapse(x, lanes)`` returns A and dA/dx.  Both spectral routes reduce
+    to this form on each gap between two poles, where cot runs once from
+    +inf to -inf; arccot maps A into (0, pi), so the function the kernel
+    sees is bounded and nearly linear, and Newton from ``start`` needs a
+    few steps.
+    """
+    def f(x, lanes):
+        a, da = collapse(x, lanes)
+        return np.arctan2(1.0, a) - scale * x, -da / (1.0 + a * a) - scale
+
+    n = np.size(start)
+    return _bracketed_roots(f, start, np.zeros(n), np.full(n, width))
 
 
 # ---------------------------------------------------------------------------
@@ -190,56 +206,139 @@ def _bracketed_roots(f, slope, lo, hi):
 def solve_finite_spectrum(spec: OhmicSystemSpec) -> NormalModeSet:
     """Exact N+1 normal modes of the finite bath problem.
 
-    Roots are bracketed by the pole interlacing (one per gap of the bath
-    ladder, one below it, one above it) and found by ``_bracketed_roots``:
-    bisection to 1e-6 relative width, then safeguarded Newton until the
-    step or the bracket is at most 1e-13 relative.  Particle weights come
-    for free as -1/h'(root).  Each step costs O(N**2) time and memory, so
-    n_modes above 5000 raises InputError before any work starts.
+    In units of the bath spacing delta_omega (u = Omega/delta_omega,
+    b = bar_omega/delta_omega, e**2 = eta**2/delta_omega**2) the secular
+    equation is b**2 - u**2 = e**2 * u**2 * sum_k 1/(k**2 - u**2), with one
+    root in each gap (j, j+1) of the ladder, one below it and one above it.
+    The series identity and the digamma tail of the sum beyond k = N turn
+    the root of gap j = 1..N-1 into pi*eps = arccot(A(j + eps)),
+
+        A(u) = [2(u**2 - b**2) + e**2]/(pi*e**2*u)
+               - [psi(N+1+u) - psi(N+1-u)]/pi,
+
+    solved by ``_bracketed_roots`` from the start arccot(A(j))/pi; the
+    particle weight 1/(1 + e**2 * sum_k k**2/(k**2 - u**2)**2) collapses
+    the same way.  Each of these lanes costs O(1).  The gap below the
+    ladder and the one above it, where psi(N+1-u) has poles, keep the
+    direct O(N) sum.  The whole solve is O(N) in time and memory, and
+    n_modes above 10**6 raises InputError before any work starts.
     """
     n = spec.n_modes
     if n > _MAX_FINITE_MODES:
         raise InputError(
-            f"solve_finite_spectrum is capped at n_modes = {_MAX_FINITE_MODES} "
-            f"(O(N**2) time and memory), got {n}"
+            f"solve_finite_spectrum is capped at n_modes = {_MAX_FINITE_MODES}, got {n}"
         )
     d = derive_parameters(spec)
-    pole_sq = (d.delta_omega * np.arange(1, n + 1)) ** 2
-    eta_sq = d.eta**2
-    bar_sq = spec.bar_omega**2
-
-    # h(L) and h'(L) for a batch of L values; the lane index is not needed.
-    def secular(lam, _lanes=None):
-        diff = pole_sq - lam[:, None]
-        return bar_sq - lam - eta_sq * lam * np.sum(1.0 / diff, axis=1)
-
-    def slope(lam, _lanes=None):
-        diff = pole_sq - lam[:, None]
-        return -1.0 - eta_sq * np.sum(pole_sq / diff**2, axis=1)
-
-    # brackets: (0, p_1), (p_r, p_{r+1}), (p_N, B); offsets of 1e-13 keep
-    # the evaluations off the poles where h has a known sign.  Above the
-    # ladder L/(L - p_k) <= 2 once L >= 2*p_N, so h(L) <= bar_sq +
-    # 2*eta_sq*N - L there, and B = 2*max(p_N, bar_sq + 2*eta_sq*N) has
-    # h(B) < 0.
-    lo = np.empty(n + 1)
-    hi = np.empty(n + 1)
-    lo[0] = bar_sq * 1e-14
-    lo[1:] = pole_sq * (1.0 + 1e-13)
-    hi[:-1] = pole_sq * (1.0 - 1e-13)
-    hi[-1] = 2.0 * max(pole_sq[-1], bar_sq + 2.0 * eta_sq * n)
-    if secular(lo[:1])[0] <= 0.0:
-        raise StabilityError("secular function is negative at zero frequency")
-
-    lam = _bracketed_roots(secular, slope, lo, hi)
-    if np.any(lam <= 0.0):
-        raise StabilityError("negative squared frequency: no stable ground state")
+    b = spec.bar_omega / d.delta_omega
+    e_sq = 2.0 * spec.g / d.delta_omega
+    u = np.empty(n + 1)
+    weights = np.empty(n + 1)
+    u[[0, n]], weights[[0, n]] = _finite_edge_roots(n, b, e_sq)
+    if n > 1:
+        u[1:n], weights[1:n] = _finite_bulk_roots(n, b, e_sq)
     return NormalModeSet(
-        frequencies=np.sqrt(lam),
-        weights=-1.0 / slope(lam),
+        frequencies=d.delta_omega * u,
+        weights=weights,
         source=ModeSource.FINITE_N,
         spec_snapshot=spec,
     )
+
+
+def _finite_bulk_roots(n, b, e_sq):
+    # gaps j = 1..n-1 in eps = u - j; n+1-u stays at least 2, so the
+    # digamma tail has no pole.  Every difference is formed from j and eps
+    # apart, so a root hugging a pole keeps its distance to it.
+    j = np.arange(1.0, n)
+    lin = 2.0 / (math.pi * e_sq)
+    inv = 2.0 * b * b / (math.pi * e_sq) - 1.0 / math.pi
+
+    def parts(eps, jl):
+        # u, A(u), A'(u) and psi1(N+1+u) + psi1(N+1-u)
+        u = jl + eps
+        z = np.concatenate(((n + 1.0 + jl) + eps, (n + 1.0 - jl) - eps))
+        di, tri = psi(z), psi1(z)
+        tri = tri[:jl.size] + tri[jl.size:]
+        a = (lin * ((jl - b) + eps) * ((jl + b) + eps) + 1.0 / math.pi) / u \
+            - (di[:jl.size] - di[jl.size:]) / math.pi
+        return u, a, lin + inv / (u * u) - tri / math.pi, tri
+
+    def collapse(eps, lanes):
+        return parts(eps, j[lanes])[1:3]
+
+    start = np.arctan2(1.0, parts(0.0, j)[1]) / math.pi
+    eps = _arccot_roots(collapse, start, math.pi, 1.0)
+    # at the root cot(pi*eps) = A, so pi**2/sin(pi*eps)**2 = pi**2*(1 + A**2),
+    # which keeps its digits when eps is near 1; with
+    # pi*A + [psi(N+1+u) - psi(N+1-u)] = [2(u**2 - b**2) + e**2]/(e**2*u):
+    #   4*sum_k k**2/(k**2 - u**2)**2 = pi**2*(1 + A**2) - psi1(N+1+u)
+    #       - psi1(N+1-u) - [2(u**2 - b**2) + e**2]/(e**2*u**2)
+    u, a, _, tri = parts(eps, j)
+    shape = 2.0 * ((j - b) + eps) * ((j + b) + eps) + e_sq
+    slope_sum = math.pi**2 * (1.0 + a * a) - tri - shape / (e_sq * u * u)
+    return u, 1.0 / (1.0 + 0.25 * e_sq * slope_sum)
+
+
+def _positive_root(alpha, beta, gamma):
+    # the positive root of alpha*z**2 + beta*z - gamma, alpha and gamma > 0
+    disc = math.sqrt(beta * beta + 4.0 * alpha * gamma)
+    return 2.0 * gamma / (beta + disc) if beta >= 0.0 else (disc - beta) / (2.0 * alpha)
+
+
+def _finite_edge_roots(n, b, e_sq):
+    """Roots and weights of the gaps below (j = 0) and above (j = n) the ladder.
+
+    Each is solved on the direct sum, with the pole p next to the gap (p = 1
+    below, p = n above) multiplied out: |p - u|*h(u) has the sign of h and
+    no pole in the gap.  The variable t runs from the gap end the root is
+    nearer, u = origin + dir*t, so a root hugging that end keeps its
+    digits.  Both starts come from the quadratic that keeps pole p exactly
+    and freezes the rest of the sum, at u = 0 below the ladder and at u = n
+    above it; the start below also picks that lane's end.
+    """
+    # below: sum_{k>=2} 1/k**2 = pi**2/6 - 1 - psi1(n+1) frozen; then
+    # x = u**2 and v = 1 - u**2 solve quadratics, and t runs from u = 0 or
+    # from u = 1, whichever the start is nearer
+    frozen = 1.0 + e_sq * (math.pi**2 / 6.0 - 1.0 - psi1(n + 1.0))
+    disc = math.sqrt((frozen - b * b) ** 2 + e_sq * (2.0 * (frozen + b * b) + e_sq))
+    x = 2.0 * b * b / (frozen + e_sq + b * b + disc)
+    if x < 0.25:
+        low, origin, direction = math.sqrt(x), 0.0, 1.0
+    else:
+        v = _positive_root(frozen, e_sq + b * b - frozen, e_sq)
+        low, origin, direction = v / (1.0 + math.sqrt(1.0 - v)), 1.0, -1.0
+    # above: n**2 * sum_{k<n} 1/(k**2 - n**2) = -n*(psi(2n) - psi(1) - 1/n)/2
+    # frozen; then y = u**2 - n**2 solves a quadratic.  Above
+    # 2*max(n**2, b**2 + 2*e**2*n) h is negative, since u**2/(u**2 - k**2)
+    # <= 2 there bounds the sum
+    frozen = -0.5 * n * (psi(2.0 * n) - psi(1.0) - 1.0 / n)
+    y = _positive_root(1.0, n * n - b * b + e_sq * (frozen - 1.0), e_sq * n * n)
+    top = math.sqrt(2.0 * max(n * n, b * b + 2.0 * e_sq * n)) - n
+    high = min(y / (n + math.sqrt(n * n + y)), top)
+
+    k = np.arange(1.0, n + 1)
+    origin = np.array([origin, n])
+    direction = np.array([direction, 1.0])
+    p = np.array([1.0, n])
+    side = np.array([1.0, -1.0])                 # sign of p - u in the gap
+    rest = np.stack((k[1:], k[:-1]))             # the ladder without p
+    rel = rest - origin[:, None]
+
+    def f(t, lanes):
+        pl, sl, step = p[lanes], side[lanes], direction[lanes] * t
+        u = origin[lanes] + step
+        gap = (rel[lanes] - step[:, None]) * (rest[lanes] + u[:, None])  # k**2 - u**2
+        r = b * b - u * u - e_sq * u * u * np.sum(1.0 / gap, axis=1)
+        dr = -2.0 * u - 2.0 * e_sq * u * np.sum(rest[lanes] ** 2 / gap**2, axis=1)
+        dist = sl * ((pl - origin[lanes]) - step)
+        pole = e_sq * u * u / (pl + u)
+        dpole = e_sq * u * (2.0 * pl + u) / (pl + u) ** 2
+        # |p - u|*h(u) = dist*r - side*pole, oriented to fall with t
+        return direction[lanes] * (dist * r - sl * pole), dist * dr - sl * (r + dpole)
+
+    t = _bracketed_roots(f, [low, high], [0.0, 0.0], [1.0, top])
+    u = origin + direction * t
+    gap = ((k - origin[:, None]) - (direction * t)[:, None]) * (k + u[:, None])
+    return u, 1.0 / (1.0 + e_sq * np.sum(k * k / gap**2, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +346,30 @@ def solve_finite_spectrum(spec: OhmicSystemSpec) -> NormalModeSet:
 # ---------------------------------------------------------------------------
 
 _VARIANT_CONSTANTS = {"paper": 1.0, "rederived": 2.0}
+# cot(s) - 1/s = sum_n _COT_TAYLOR[n] * s**(2n+1), the coefficients being
+# -2*zeta(2n+2)/pi**(2n+2) (A&S 4.3.70); twelve terms reach 1e-19
+# relative at s = 0.5, below which the series replaces the difference.
+_COT_TAYLOR = (
+    -0.3333333333333333, -0.022222222222222223, -0.0021164021164021165,
+    -0.00021164021164021165, -2.1377799155576935e-05, -2.1644042808063972e-06,
+    -2.1925947851873778e-07, -2.2214608789979678e-08, -2.2507846516808994e-09,
+    -2.2805151204592183e-10, -2.3106432599002624e-11, -2.3411706819824882e-12,
+)
+_COT_TAYLOR_EDGE = 0.5
+
+
+def _cot_minus_inverse(s):
+    """cot(s) - 1/s and its derivative, free of cancellation at small s."""
+    s2 = s * s
+    val = 0.0
+    der = 0.0
+    for n in range(len(_COT_TAYLOR) - 1, -1, -1):
+        val = val * s2 + _COT_TAYLOR[n]
+        der = der * s2 + (2 * n + 1) * _COT_TAYLOR[n]
+    small = s < _COT_TAYLOR_EDGE
+    sin = np.sin(s)
+    return (np.where(small, val * s, np.cos(s) / sin - 1.0 / s),
+            np.where(small, der, 1.0 / s2 - 1.0 / sin**2))
 
 
 def _mode_weights(d: DerivedParams, bar_sq: float, g: float, omega):
@@ -278,10 +401,11 @@ def solve_cavity_spectrum(
     the series identity and matches the finite-N route, and is the
     default; the first is the published form, kept to reproduce the
     publication.  Each branch is solved in the shifted variable
-    s = x - k*pi, where cot is evaluated without precision loss even at
-    k ~ 1e4, by the same kernel and stop rule as the finite route:
-    bisection to 1e-6 relative width, then safeguarded Newton until the
-    step or the bracket is at most 1e-13 relative in s.
+    s = x - k*pi by the kernel of the finite route, to 1e-13 relative in s.
+    Branches k >= 1 solve s = arccot(x/(pi*delta) + C/(2x)) from the start
+    arccot(A(k*pi)).  Branch 0 solves the secular function itself, written
+    as (cot(s) - 1/s) + (1 - C/2)/s - s/(pi*delta) with 1 - C/2 formed from
+    its exact parts, so the two 1/s terms never cancel in rounding.
     """
     if variant not in _VARIANT_CONSTANTS:
         raise InputError(f"variant must be 'paper' or 'rederived', got {variant!r}")
@@ -289,41 +413,32 @@ def solve_cavity_spectrum(
         raise InputError(f"k_max must be a nonnegative integer, got {k_max!r}")
     d = derive_parameters(spec)
     delta = d.delta
-    beta = d.beta
-    c_const = _VARIANT_CONSTANTS[variant] - 2.0 * delta / (math.pi * beta**2)
-    k_pi = math.pi * np.arange(k_max + 1, dtype=float)
+    base = _VARIANT_CONSTANTS[variant]
+    slope = 1.0 / (math.pi * delta)
+    c_const = base - 2.0 * delta / (math.pi * d.beta**2)
+    # 1 - C/2, exactly as its two parts
+    c_zero = (1.0 - 0.5 * base) + delta / (math.pi * d.beta**2)
 
-    def shifted_secular(s, lanes=slice(None)):
-        x = k_pi[lanes] + s
-        return np.cos(s) / np.sin(s) - x / (math.pi * delta) - c_const / (2.0 * x)
+    def branch_zero(s, _lanes=None):
+        cot, dcot = _cot_minus_inverse(s)
+        return cot + c_zero / s - slope * s, dcot - c_zero / (s * s) - slope
 
-    def shifted_slope(s, lanes):
-        x = k_pi[lanes] + s
-        return -1.0 / np.sin(s) ** 2 - 1.0 / (math.pi * delta) + c_const / (2.0 * x**2)
+    # start: s*cot(s) ~ 1 - (pi**2/3)*s**2/(pi**2 - s**2), exact at both
+    # ends of the branch to leading order, turns s*f(s) = 0 into a
+    # quadratic in s**2 whose smaller root lies in (0, pi**2)
+    mid = math.pi**2 / 3.0 + c_zero + math.pi / delta
+    x0 = 2.0 * c_zero * math.pi**2 / (mid + math.sqrt(mid * mid - 4.0 * c_zero * math.pi / delta))
+    s = np.empty(k_max + 1)
+    s[:1] = _bracketed_roots(branch_zero, [math.sqrt(x0)], [0.0], [math.pi])
+    if k_max:
+        k_pi = math.pi * np.arange(1, k_max + 1, dtype=float)
 
-    # endpoint probes: cot blows up to +inf at s -> 0+ and to -inf at
-    # s -> pi-, so close enough to the ends the sign is pinned. The rare
-    # extreme-parameter cases get a few shrink retries.
-    lo = np.full(k_max + 1, 1e-18)
-    hi = np.full(k_max + 1, math.pi - 1e-12 * math.pi)
-    for _ in range(6):
-        bad = shifted_secular(lo) <= 0.0
-        if not bad.any():
-            break
-        lo[bad] *= 1e-6
-    else:
-        raise NumericalFailure("no positive endpoint for a cavity branch")
-    for _ in range(6):
-        bad = shifted_secular(hi) >= 0.0
-        if not bad.any():
-            break
-        hi[bad] = math.pi - (math.pi - hi[bad]) * 1e-3
-    else:
-        raise NumericalFailure("no negative endpoint for a cavity branch")
+        def collapse(t, lanes=slice(None)):
+            x = k_pi[lanes] + t
+            return slope * x + c_const / (2.0 * x), slope - c_const / (2.0 * x * x)
 
-    # the secular function decreases strictly on each branch (the cot slope
-    # -1/sin**2 dominates C/(2x**2) because C <= 2 and x >= s).
-    x = k_pi + _bracketed_roots(shifted_secular, shifted_slope, lo, hi)
+        s[1:] = _arccot_roots(collapse, np.arctan2(1.0, collapse(0.0)[0]), 1.0, math.pi)
+    x = math.pi * np.arange(k_max + 1, dtype=float) + s
     freq = (2.0 * spec.light_speed / spec.cavity_L) * x
     weights = _mode_weights(d, spec.bar_omega**2, spec.g, freq)
     return NormalModeSet(

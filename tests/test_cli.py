@@ -339,11 +339,12 @@ def test_oversized_quadrature_grid_fails_fast(capsys):
 
 
 def test_oversized_spectrum_and_mode_sum_fail_fast(capsys):
-    # a 5001-mode finite bath (O(N**2) solve) and a 2001-mode x 70000-time
-    # cavity curve (1.4e8 phase terms, over 2**27) both exit 1 at once
+    # a finite bath of 10**6 + 1 modes (over the solver's cap) and a
+    # 2001-mode x 70000-time cavity curve (1.4e8 phase terms, over 2**27)
+    # both exit 1 at once
     for args, message in (
-        (("spectrum", "--n-modes", "5001", "--beta", "0.3", "--delta", "0.7"),
-         "capped at n_modes = 5000"),
+        (("spectrum", "--n-modes", "1000001", "--beta", "0.3", "--delta", "0.7"),
+         "capped at n_modes = 1000000"),
         (("cavity", "--k-max", "2000", "--samples", "70000", "--beta", "0.1",
           "--delta", "0.05"), "2**27 phase terms"),
     ):

@@ -1,5 +1,6 @@
 """Scaled exponential integrals against an arbitrary-precision reference."""
 
+import hashlib
 import math
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dressedbath.special import ei_scaled, exp1_scaled
+from dressedbath.special import ei_scaled, exp1_scaled, psi, psi1
 
 mp.mp.dps = 40
 
@@ -188,3 +189,85 @@ def test_package_imports_without_scipy():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# exp1_scaled and ei_scaled stay bit for bit
+# ---------------------------------------------------------------------------
+
+def _exp1_test_points():
+    # every point the exp1_scaled tests above evaluate
+    right = [complex(re, im) for re in REAL_PARTS for im in IMAG_PARTS]
+    left = [complex(-re, im) for re in REAL_PARTS for im in (0.4, 35.0, 900.0)]
+    seam = [complex(600.0 - 1e-6, 1.0), complex(600.0 + 1e-6, 1.0), 1e8 + 0j]
+    axis = list(np.linspace(1.0, 6.0, 11)) + [4.760954936304073, 4.944379151872671]
+    cut = [r * np.exp(1j * side * (math.pi - 1e-4))
+           for r in (1.0, 3.0, 8.0, 16.0, 25.0, 39.9, 40.1, 40.709, 41.924, 45.0, 60.0)
+           for side in (1.0, -1.0)]
+    radii = np.geomspace(1e-3, 2e3, 23)
+    angles = np.concatenate((np.linspace(-3.1, 3.1, 9), [math.pi - 1e-4]))
+    grid = (radii[:, None] * np.exp(1j * angles)).ravel()
+    return np.concatenate((right, left, seam, axis, cut, grid, EXP1_SEAMS)).astype(complex)
+
+
+def _ei_test_points():
+    # every point the ei_scaled tests above evaluate
+    return np.concatenate((
+        [0.05, 0.8, 12.0, 130.0, 599.5, 600.5, 5e3, 1e6, 600.0 - 1e-6, 600.0 + 1e-6, 1e8],
+        [0.5, 3.0, 30.0, 700.0, 4000.0],
+        [x for b in (1.0, 3.06, 8.0, 16.0, 25.0, 40.0, 45.0, 60.0, 120.0, 600.0)
+         for x in _straddle(b)],
+    ))
+
+
+# SHA-256 of the outputs' bytes, taken before psi and psi1 joined the module
+EXP1_DIGEST = "a12bacfc955217fc5fc3a3a1e449fc28c155fbfe333d81162429ce47c0d6732d"
+EI_DIGEST = "cf307b80704f06ed4f9dc210022953e03b1d52de0661fd6a1bc9fae79c7d49bd"
+
+
+def test_scaled_integrals_are_bit_identical():
+    z = _exp1_test_points()
+    x = _ei_test_points()
+    assert hashlib.sha256(exp1_scaled(z).tobytes()).hexdigest() == EXP1_DIGEST
+    assert hashlib.sha256(ei_scaled(x).tobytes()).hexdigest() == EI_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# digamma and trigamma
+# ---------------------------------------------------------------------------
+
+PSI_ZERO = 1.4616321449683623
+
+
+def _assert_psi_close(z):
+    # 1e-15 relative, and 5e-16 absolute where |psi| < 1/2 (z in 1.2..1.9,
+    # around the zero of psi at 1.4616)
+    want = float(mp.digamma(mp.mpf(z)))
+    assert abs(psi(z) - want) <= 1e-15 * max(abs(want), 0.5)
+    want = float(mp.polygamma(1, mp.mpf(z)))
+    assert abs(psi1(z) - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("z", [1.0, 1.1, PSI_ZERO, 1.5, 2.0, 2.5, 7.0, 11.0,
+                               *_straddle(12.0, 1e-12), 12.5, 13.0, 40.0, 1e3,
+                               123456.789, 2e6])
+def test_psi_against_mpmath(z):
+    _assert_psi_close(z)
+
+
+def test_psi_array_and_scalar_forms_agree():
+    # every recurrence depth below 12 and the series above it, in one call
+    zs = np.concatenate((np.linspace(1.0, 13.0, 97), np.geomspace(13.0, 2e6, 40)))
+    d0, d1 = psi(zs), psi1(zs)
+    assert d0.shape == d1.shape == zs.shape
+    for z, v0, v1 in zip(zs, d0, d1):
+        assert psi(float(z)) == v0
+        assert psi1(float(z)) == v1
+    assert isinstance(psi(2.0), float) and isinstance(psi1(2.0), float)
+    assert psi(zs.reshape(1, -1)).shape == (1, zs.size)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(log_z=st.floats(0.0, math.log10(2e6)))
+def test_psi_matches_mpmath(log_z):
+    _assert_psi_close(10.0**log_z)

@@ -2,10 +2,13 @@
 
 import math
 import time
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dressedbath import (
     InputError,
@@ -19,10 +22,12 @@ from dressedbath import (
     cavity_smallness_factor,
     cot_series_closed_form,
     derive_parameters,
+    mode_set_from_dense,
     series_identity_residual,
     solve_cavity_spectrum,
     solve_finite_spectrum,
 )
+from dressedbath import spectrum
 from dressedbath.errors import DimensionMismatch
 
 mp.mp.dps = 40
@@ -91,25 +96,123 @@ def test_particle_weights_sum_to_one(spec):
     assert np.all(modes.weights > 0.0)
 
 
+def _secular_roots_40_digits(spec, lanes, guesses):
+    # roots u = Omega/delta_omega of b**2 - u**2 = e**2 u**2 sum_k 1/(k**2 - u**2)
+    # and their weights 1/(1 + e**2 sum_k k**2/(k**2 - u**2)**2), polished at
+    # 40 digits by Newton from the double-precision roots
+    d = derive_parameters(spec)
+    with mp.workdps(40):
+        step = mp.mpf(d.delta_omega)
+        b_sq = (mp.mpf(spec.bar_omega) / step) ** 2
+        e_sq = 2 * mp.mpf(spec.g) / step
+        ks = [mp.mpf(k) for k in range(1, spec.n_modes + 1)]
+        out = []
+        for lane, guess in zip(lanes, guesses):
+            u = mp.mpf(guess) / step
+            for _ in range(3):
+                u2 = u * u
+                s1 = mp.fsum(1 / (k * k - u2) for k in ks)
+                s2 = mp.fsum(k * k / (k * k - u2) ** 2 for k in ks)
+                u -= (b_sq - u2 - e_sq * u2 * s1) / (-2 * u * (1 + e_sq * s2))
+            u2 = u * u
+            weight = 1 / (1 + e_sq * mp.fsum(k * k / (k * k - u2) ** 2 for k in ks))
+            out.append((step * u, weight))
+        return out
+
+
 def test_weights_match_high_precision():
-    # -1/h'(root) against the same expression at 50-digit roots, on lanes
+    # -1/h'(root) against the same expression at 40-digit roots, on lanes
     # at both ends of the spectrum and near the ladder top
     spec = OhmicSystemSpec.from_dimensionless(
         beta=0.22661737992930092, delta=3.5863648245494297, n_modes=500)
     modes = solve_finite_spectrum(spec)
-    d = derive_parameters(spec)
-    with mp.workdps(50):
-        poles = [(mp.mpf(d.delta_omega) * k) ** 2 for k in range(1, 501)]
-        eta_sq = mp.mpf(d.eta) ** 2
-        bar_sq = mp.mpf(spec.bar_omega) ** 2
+    lanes = (0, 1, 250, 493, 499, 500)
+    refs = _secular_roots_40_digits(spec, lanes, modes.frequencies[list(lanes)])
+    for lane, (_, weight) in zip(lanes, refs):
+        assert modes.weights[lane] == pytest.approx(float(weight), rel=1e-13, abs=0.0)
 
-        def secular(lam):
-            return bar_sq - lam - eta_sq * lam * mp.fsum(1 / (p - lam) for p in poles)
 
-        for lane in (0, 1, 250, 493, 499, 500):
-            lam = mp.findroot(secular, mp.mpf(modes.frequencies[lane]) ** 2)
-            ref = 1 / (1 + eta_sq * mp.fsum(p / (p - lam) ** 2 for p in poles))
-            assert modes.weights[lane] == pytest.approx(float(ref), rel=5e-11, abs=0.0)
+@pytest.mark.parametrize("beta,delta,n", [(3.0, 0.05, 2000), (0.3, 0.7, 400),
+                                          (0.05, 3.0, 1000)])
+def test_finite_roots_and_weights_match_forty_digits(beta, delta, n):
+    # both edge lanes (0 and N), the first collapsed lane, the middle and
+    # the top of the ladder; at (3, 0.05, 2000) the old pole_sq - lam
+    # weights were 1.6e-8 off on the top lanes
+    spec = OhmicSystemSpec.from_dimensionless(beta=beta, delta=delta, n_modes=n)
+    modes = solve_finite_spectrum(spec)
+    lanes = (0, 1, n // 2, n - 3, n - 2, n - 1, n)
+    refs = _secular_roots_40_digits(spec, lanes, modes.frequencies[list(lanes)])
+    for lane, (freq, weight) in zip(lanes, refs):
+        assert modes.frequencies[lane] == pytest.approx(float(freq), rel=1e-15, abs=0.0)
+        assert modes.weights[lane] == pytest.approx(float(weight), rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    log_beta=st.floats(-3.0, 2.0),
+    log_delta=st.floats(-3.0, math.log10(4.0)),
+    n_modes=st.integers(1, 20000),
+)
+def test_finite_spectrum_interlaces_and_sums_everywhere(log_beta, log_delta, n_modes):
+    spec = OhmicSystemSpec.from_dimensionless(10.0**log_beta, 10.0**log_delta,
+                                              n_modes=n_modes)
+    modes = solve_finite_spectrum(spec)
+    ladder = derive_parameters(spec).delta_omega * np.arange(1, n_modes + 1)
+    assert np.all(modes.frequencies[:-1] < ladder)
+    assert np.all(ladder < modes.frequencies[1:])
+    assert abs(math.fsum(modes.weights) - 1.0) <= 1e-12
+    if n_modes <= 60:
+        dense = mode_set_from_dense(spec)
+        assert np.max(np.abs(dense.frequencies / modes.frequencies - 1.0)) <= 1e-13
+        assert np.max(np.abs(dense.weights - modes.weights)) <= 1e-12
+
+
+def _count_kernel_evaluations(monkeypatch):
+    # lane evaluations and lanes of every _bracketed_roots call, through a
+    # wrapped f
+    counts = {"evaluations": 0, "lanes": 0}
+    kernel = spectrum._bracketed_roots
+
+    def counted(f, x, lo, hi):
+        def wrapped(xs, lanes):
+            counts["evaluations"] += np.size(xs)
+            return f(xs, lanes)
+
+        counts["lanes"] += np.size(x)
+        return kernel(wrapped, x, lo, hi)
+
+    monkeypatch.setattr(spectrum, "_bracketed_roots", counted)
+    return counts
+
+
+@pytest.mark.parametrize("route,size", [("finite", 40), ("finite", 300), ("finite", 4000),
+                                        ("cavity", 1000), ("cavity", 100000)])
+def test_root_kernel_takes_few_evaluations_per_lane(monkeypatch, route, size):
+    # from the closed-form starts safeguarded Newton needs a few steps per
+    # lane; the 1e-6 bisection it replaced took 24-25 (finite) and 40-52
+    # (cavity) evaluations before its Newton steps
+    counts = _count_kernel_evaluations(monkeypatch)
+    if route == "finite":
+        spec = OhmicSystemSpec.from_dimensionless(beta=0.3, delta=0.7, n_modes=size)
+        modes = solve_finite_spectrum(spec)
+    else:
+        spec = OhmicSystemSpec.from_dimensionless(beta=0.3, delta=0.05)
+        modes = solve_cavity_spectrum(spec, k_max=size)
+    assert counts["lanes"] == modes.n_modes_total
+    assert counts["evaluations"] <= 10 * counts["lanes"]
+
+
+def test_finite_spectrum_memory_grows_linearly():
+    peaks = []
+    for n in (2000, 20000):
+        spec = OhmicSystemSpec.from_dimensionless(beta=0.3, delta=0.7, n_modes=n)
+        tracemalloc.start()
+        try:
+            solve_finite_spectrum(spec)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 12 * peaks[0]
 
 
 def test_strong_coupling_spectrum_stays_stable():
@@ -123,11 +226,11 @@ def test_strong_coupling_spectrum_stays_stable():
 
 
 def test_finite_spectrum_refuses_large_baths_at_once():
-    # the secular solve is O(N**2) in time and memory: N = 5000 takes about
-    # 5 s and 0.6 GB, so N = 5001 must fail before any of that work starts
-    spec = OhmicSystemSpec.from_dimensionless(beta=0.3, delta=0.7, n_modes=5001)
+    # the secular solve is O(N) in time and memory, about 1 s at N = 10**6,
+    # so N = 10**6 + 1 must fail before any work starts
+    spec = OhmicSystemSpec.from_dimensionless(beta=0.3, delta=0.7, n_modes=1_000_001)
     start = time.perf_counter()
-    with pytest.raises(InputError, match="capped at n_modes = 5000"):
+    with pytest.raises(InputError, match="capped at n_modes = 1000000"):
         solve_finite_spectrum(spec)
     assert time.perf_counter() - start < 0.5
 
@@ -161,16 +264,39 @@ def test_cavity_roots_match_high_precision(beta, delta, variant, base):
 
 
 def test_quantised_branch_root_converges():
-    # f on branch 0 is quantised to about 1e-12 here, so Newton can land on
-    # a bracket end or stall short of a 1e-13 step; the branch must still
-    # stop, at a root only as sharp as that quantisation allows
+    # in cot(s) - C/(2s) the two 1/s terms cancel here, which quantised f
+    # to about 1e-12 and left the root good to 1e-10; branch 0 now keeps
+    # cot(s) - 1/s and 1 - C/2 apart
     beta, delta = 2.94964, 2.8e-4
     spec = OhmicSystemSpec.from_dimensionless(beta=beta, delta=delta)
     modes = solve_cavity_spectrum(spec, k_max=50, variant="rederived")
     c_const = 2.0 - 2.0 * delta / (math.pi * beta**2)
     scale = 2.0 * spec.light_speed / spec.cavity_L
     ref = scale * _cavity_root_highprec(0, mp.mpf(delta), mp.mpf(c_const))
-    assert modes.frequencies[0] == pytest.approx(ref, rel=1e-10)
+    assert modes.frequencies[0] == pytest.approx(ref, rel=1e-12)
+
+
+def _branch_zero_50_digits(beta, delta, base):
+    # root of cot(s) - s/(pi*delta) - C/(2s) on (0, pi), C formed at 50 digits
+    with mp.workdps(50):
+        delta = mp.mpf(delta)
+        c_const = base - 2 * delta / (mp.pi * mp.mpf(beta) ** 2)
+        root = mp.findroot(lambda s: mp.cot(s) - s / (mp.pi * delta) - c_const / (2 * s),
+                           (mp.mpf("1e-40"), mp.pi - mp.mpf("1e-30")),
+                           solver="illinois", tol=mp.mpf(10) ** -45, maxsteps=500)
+        return float(root)
+
+
+@pytest.mark.parametrize("beta,delta", [(30.0, 1e-4), (2.94964, 2.8e-4), (100.0, 1e-3),
+                                        (10.0, 0.01), (1.0, 1e-4), (0.3, 0.05),
+                                        (0.01, 1e-3), (1.0, 3.0)])
+@pytest.mark.parametrize("variant,base", [("paper", 1), ("rederived", 2)])
+def test_branch_zero_matches_fifty_digits(beta, delta, variant, base):
+    # at beta = 30, delta = 1e-4 the rederived root was 1.0e-9 off
+    spec = OhmicSystemSpec.from_dimensionless(beta=beta, delta=delta)
+    modes = solve_cavity_spectrum(spec, k_max=1, variant=variant)
+    s = modes.frequencies[0] * spec.cavity_L / (2.0 * spec.light_speed)
+    assert s == pytest.approx(_branch_zero_50_digits(beta, delta, base), rel=1e-12)
 
 
 def test_cavity_root_count_and_interlacing():

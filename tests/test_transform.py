@@ -1,5 +1,7 @@
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,3 +191,20 @@ def test_expansion_coefficient_guards():
         expansion_coefficient(1, (1, 0), np.array([-0.5, 0.5]))
     with pytest.raises(DimensionMismatch):
         expansion_coefficient(2, (1, 1, 0), row)
+
+
+def test_finite_matrix_refuses_large_baths_before_allocating():
+    # the (N+1)**2 matrix, its gap array and Gram product take 0.76 GB at
+    # N = 5000; one more mode fails at once, having allocated nothing of it
+    spec = OhmicSystemSpec.from_dimensionless(beta=0.3, delta=0.7, n_modes=5001)
+    modes = solve_finite_spectrum(spec)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="capped at n_modes = 5000"):
+            finite_matrix(spec, modes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.5
+    assert peak < 2**20
