@@ -76,7 +76,7 @@ __all__ = [
 
 _WEIGHT_SUM_TOL = 1e-8
 # solve_finite_spectrum is O(N) in time and memory: N = 10**6 takes
-# about 2 s on a 2-core VM.
+# about 1 s and a 0.25 GB tracemalloc peak on a 2-core VM.
 _MAX_FINITE_MODES = 1_000_000
 
 
