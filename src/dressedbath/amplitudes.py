@@ -41,13 +41,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InputError, NumericalFailure
-from .model import (
-    OhmicSystemSpec,
-    Regime,
-    RegimeKind,
-    classify_regime,
-    derive_parameters,
-)
+from .model import OhmicSystemSpec, RegimeKind, classify_regime
 from .quadrature import adaptive_gk, principal_value, split_to_width
 from .special import ei_scaled, exp1_scaled
 from .spectrum import NormalModeSet
@@ -90,7 +84,6 @@ class AmplitudeSeries:
     times: np.ndarray
     values: np.ndarray
     method: AmplitudeMethod
-    regime: Regime
     spec_snapshot: OhmicSystemSpec
 
     def __post_init__(self) -> None:
@@ -179,7 +172,6 @@ def f00_discrete(modes: NormalModeSet, weights, times) -> AmplitudeSeries:
         times=t,
         values=_phase_sums(modes.frequencies, w, t),
         method=AmplitudeMethod.DISCRETE_SUM,
-        regime=classify_regime(modes.spec_snapshot),
         spec_snapshot=modes.spec_snapshot,
     )
 
@@ -246,13 +238,8 @@ def _panel_edges(head_edges: np.ndarray, w_tail: np.ndarray, t: np.ndarray):
     return np.split(edges, np.flatnonzero(np.diff(edges) < 0.0) + 1)
 
 
-def _f00_at_zero(bar_omega: float, g: float):
-    bar_sq = bar_omega * bar_omega
-    a = 0.5 * math.pi * g
-    w_top = 4.0 * bar_omega + 8.0 * a
-    head, err_h = adaptive_gk(
-        _weight_density(bar_sq, g), _head_edges(bar_omega, a, w_top), 0.5 * _QUAD_TARGET
-    )
+def _f00_at_zero(g: float, bar_sq: float, w_top: float, density, head_edges):
+    head, err_h = adaptive_gk(density, head_edges, 0.5 * _QUAD_TARGET)
     # substitute u = 1/w on [w_top, inf): the image integrand is smooth
     # and bounded (-> 2g at u = 0), so plain panels close the total.
     def flipped(u):
@@ -265,14 +252,8 @@ def _f00_at_zero(bar_omega: float, g: float):
     return complex(head + tail), err_h + err_t
 
 
-def _f00_oscillating(bar_omega: float, g: float, t: np.ndarray):
+def _f00_oscillating(g: float, bar_sq: float, w_top: float, density, head_edges, t):
     # f00 and its error estimate at the positive times t
-    bar_sq = bar_omega * bar_omega
-    a = 0.5 * math.pi * g
-    density = _weight_density(bar_sq, g)
-    w_top = 4.0 * bar_omega + 8.0 * a
-    head_edges = _head_edges(bar_omega, a, w_top)
-
     # analytic tail starts once the phase w*t clears `phase_min`, chosen so
     # the four-term integration-by-parts remainder ~480 g t / phase**6 is
     # negligible; below it, panels of at most half a period of e^{-i w t}
@@ -326,14 +307,19 @@ def f00_quadrature(spec: OhmicSystemSpec, times) -> AmplitudeSeries:
     InputError before any quadrature runs.
     """
     t_arr = _validate_times(times)
+    bar_sq = spec.bar_omega * spec.bar_omega
+    a = 0.5 * math.pi * spec.g
+    w_top = 4.0 * spec.bar_omega + 8.0 * a
+    setup = (spec.g, bar_sq, w_top, _weight_density(bar_sq, spec.g),
+             _head_edges(spec.bar_omega, a, w_top))
     values = np.empty(t_arr.shape, dtype=complex)
     errors = np.empty(t_arr.shape)
     zero = t_arr == 0.0
     pos = ~zero
     if pos.any():
-        values[pos], errors[pos] = _f00_oscillating(spec.bar_omega, spec.g, t_arr[pos])
+        values[pos], errors[pos] = _f00_oscillating(*setup, t_arr[pos])
     if zero.any():
-        values[zero], errors[zero] = _f00_at_zero(spec.bar_omega, spec.g)
+        values[zero], errors[zero] = _f00_at_zero(*setup)
     worst = errors.max()
     if worst > _QUAD_HARD_LIMIT:
         raise NumericalFailure(
@@ -343,7 +329,6 @@ def f00_quadrature(spec: OhmicSystemSpec, times) -> AmplitudeSeries:
         times=t_arr,
         values=values,
         method=AmplitudeMethod.QUADRATURE,
-        regime=classify_regime(spec),
         spec_snapshot=spec,
     )
 
@@ -352,7 +337,16 @@ def f00_quadrature(spec: OhmicSystemSpec, times) -> AmplitudeSeries:
 # branch-cut integral and closed form
 # ---------------------------------------------------------------------------
 
-def _j_analytic(spec: OhmicSystemSpec, t: np.ndarray) -> np.ndarray:
+# J on the critical branch past x = a*t = 60: the asymptotic series
+# (2/pi) * sum_{m>=1} 2m*(2m)!/x**(2m+1) of the exponential-integral form,
+# whose O(1) terms cancel to 8/(pi*x**3) and lose about eps*x**3/8.
+# Fourteen terms hold 6e-16 from x = 60 up; below, the series never gets there.
+_J_SERIES_EDGE = 60.0
+_J_SERIES = tuple(float(2 * m * math.factorial(2 * m)) for m in range(1, 15))
+
+
+def _closed_form(spec: OhmicSystemSpec, t: np.ndarray):
+    # pole term and branch-cut integral J at the positive times t
     regime = classify_regime(spec)
     a = 0.5 * math.pi * spec.g
     if regime.kind is RegimeKind.UNDERDAMPED:
@@ -361,18 +355,28 @@ def _j_analytic(spec: OhmicSystemSpec, t: np.ndarray) -> np.ndarray:
         z = root * t
         pair = exp1_scaled(np.concatenate((-z, z)))
         diff = pair[: t.size] - pair[t.size:]
-        return (root * diff).imag / (math.pi * kappa)
+        pole = (1.0 - 1j * a / kappa) * np.exp(-z)
+        return pole, (root * diff).imag / (math.pi * kappa)
     if regime.kind is RegimeKind.CRITICAL:
         x = a * t
-        f_term = ei_scaled(x)
-        e_term = np.real(exp1_scaled(x))
-        return ((x - 1.0) * f_term - (x + 1.0) * e_term) / math.pi
+        j = ((x - 1.0) * ei_scaled(x) - (x + 1.0) * np.real(exp1_scaled(x))) / math.pi
+        far = x >= _J_SERIES_EDGE
+        if far.any():
+            r = 1.0 / x[far]
+            r_sq = r * r
+            total = 0.0
+            for coef in reversed(_J_SERIES):
+                total = total * r_sq + coef
+            j[far] = (2.0 / math.pi) * r * r_sq * total
+        return (1.0 - x) * np.exp(-x) + 0.0j, j
     kabs = regime.kappa_abs
     y_fast = a + kabs
     y_slow = spec.bar_omega**2 / y_fast  # equals a - kabs without cancellation
     x = np.concatenate((y_fast * t, y_slow * t))
     s = ei_scaled(x) + np.real(exp1_scaled(x))
-    return -(y_fast * s[: t.size] - y_slow * s[t.size:]) / (2.0 * math.pi * kabs)
+    e = np.exp(-x)
+    pole = (y_fast * e[: t.size] - y_slow * e[t.size:]) / (2.0 * kabs) + 0.0j
+    return pole, -(y_fast * s[: t.size] - y_slow * s[t.size:]) / (2.0 * math.pi * kabs)
 
 
 def _j_quadrature(spec: OhmicSystemSpec, t: float) -> float:
@@ -468,7 +472,8 @@ def bath_integral_J(spec: OhmicSystemSpec, t, method: str = "analytic"):
     """Branch-cut integral J(t) for t > 0 (scalar or array).
 
     method="analytic" evaluates the scaled-exponential-integral closed
-    forms (fast, machine accurate, arrays fine).  method="quadrature"
+    forms (fast, machine accurate, arrays fine); on the critical branch past
+    pi*g*t/2 = 60 it sums their asymptotic series instead.  method="quadrature"
     integrates the definition directly, excising real poles by symmetric
     principal-value windows; it exists to audit the analytic route.
     """
@@ -480,7 +485,7 @@ def bath_integral_J(spec: OhmicSystemSpec, t, method: str = "analytic"):
     if np.any(t_arr <= 0.0) or not np.all(np.isfinite(t_arr)):
         raise InputError("bath_integral_J needs strictly positive finite times")
     if method == "analytic":
-        out = _j_analytic(spec, t_arr)
+        out = _closed_form(spec, t_arr)[1]
     else:
         out = np.array([_j_quadrature(spec, float(ti)) for ti in t_arr])
     return float(out[0]) if scalar else out
@@ -497,31 +502,15 @@ def f00_closed(spec: OhmicSystemSpec, times) -> AmplitudeSeries:
     1 (the J limit cancels the pole imaginary part identically).
     """
     t = _validate_times(times)
-    regime = classify_regime(spec)
-    a = 0.5 * math.pi * spec.g
     values = np.ones(t.shape, dtype=complex)
     pos = t > 0.0
-    tp = t[pos]
-    if tp.size:
-        j_vals = _j_analytic(spec, tp)
-        if regime.kind is RegimeKind.UNDERDAMPED:
-            kappa = regime.kappa_abs
-            pole = (1.0 - 1j * a / kappa) * np.exp(-(a + 1j * kappa) * tp)
-        elif regime.kind is RegimeKind.CRITICAL:
-            pole = (1.0 - a * tp) * np.exp(-a * tp) + 0.0j
-        else:
-            kabs = regime.kappa_abs
-            y_fast = a + kabs
-            y_slow = spec.bar_omega**2 / y_fast
-            pole = (
-                y_fast * np.exp(-y_fast * tp) - y_slow * np.exp(-y_slow * tp)
-            ) / (2.0 * kabs) + 0.0j
+    if pos.any():
+        pole, j_vals = _closed_form(spec, t[pos])
         values[pos] = pole + 1j * j_vals
     return AmplitudeSeries(
         times=t,
         values=values,
         method=AmplitudeMethod.CLOSED_FORM,
-        regime=regime,
         spec_snapshot=spec,
     )
 

@@ -78,6 +78,11 @@ _WEIGHT_SUM_TOL = 1e-8
 # solve_finite_spectrum is O(N) in time and memory: N = 10**6 takes
 # about 1 s and a 0.25 GB tracemalloc peak on a 2-core VM.
 _MAX_FINITE_MODES = 1_000_000
+# the cavity ladder is O(k_max) too: k_max = 10**6 takes about 0.36 s and a
+# 0.14 GB tracemalloc peak on a 2-core VM (the small-cavity forms 0.05 GB)
+_MAX_K = 1_000_000
+# series_identity_residual sums 10**7 terms in about 0.13 s
+_MAX_SERIES_TERMS = 10**8
 
 
 class ModeSource(Enum):
@@ -405,12 +410,16 @@ def solve_cavity_spectrum(
     Branches k >= 1 solve s = arccot(x/(pi*delta) + C/(2x)) from the start
     arccot(A(k*pi)).  Branch 0 solves the secular function itself, written
     as (cot(s) - 1/s) + (1 - C/2)/s - s/(pi*delta) with 1 - C/2 formed from
-    its exact parts, so the two 1/s terms never cancel in rounding.
+    its exact parts, so the two 1/s terms never cancel in rounding.  The
+    solve is O(k_max) in time and memory, and k_max above 10**6 (about
+    0.4 s and 0.14 GB) raises InputError before any work starts.
     """
     if variant not in _VARIANT_CONSTANTS:
         raise InputError(f"variant must be 'paper' or 'rederived', got {variant!r}")
     if not isinstance(k_max, int) or k_max < 0:
         raise InputError(f"k_max must be a nonnegative integer, got {k_max!r}")
+    if k_max > _MAX_K:
+        raise InputError(f"k_max is capped at {_MAX_K}, got {k_max}")
     d = derive_parameters(spec)
     delta = d.delta
     base = _VARIANT_CONSTANTS[variant]
@@ -493,11 +502,14 @@ def approx_small_L_spectrum(
     of the validity factor, and once delta passes 0.05, where the dropped
     delta**2 terms of the weights reach the percent scale, instead of
     failing: the formulas stay evaluable, just increasingly unfaithful.
+    k_max above 10**6 raises InputError before any array is built.
     """
     if regime not in ("weak", "strong"):
         raise InputError(f"regime must be 'weak' or 'strong', got {regime!r}")
     if not isinstance(k_max, int) or k_max < 1:
         raise InputError(f"k_max must be a positive integer, got {k_max!r}")
+    if k_max > _MAX_K:
+        raise InputError(f"k_max is capped at {_MAX_K}, got {k_max}")
     d = derive_parameters(spec)
     factors = cavity_smallness_factor(spec)
     if d.delta > factors.full / 10.0:
@@ -549,21 +561,13 @@ def approx_small_L_spectrum(
 # series identity audit
 # ---------------------------------------------------------------------------
 
-# zeta(2), zeta(4), zeta(6), zeta(8) as pi powers, for the small-u branch.
-_ZETA_EVEN = (
-    math.pi**2 / 6.0,
-    math.pi**4 / 90.0,
-    math.pi**6 / 945.0,
-    math.pi**8 / 9450.0,
-)
-
-
 def cot_series_closed_form(u: float) -> float:
     """Closed form of sum_{k>=1} 1/(k**2 - u**2) for non-integer u.
 
-    Equals 1/(2u**2) - pi*cot(pi*u)/(2u).  Below |u| = 0.01 that expression
-    loses seven digits to cancellation, so the even-zeta Taylor series is
-    used instead; its first omitted term is zeta(10)*u**8 < 1e-16 there.
+    Equals 1/(2u**2) - pi*cot(pi*u)/(2u) = -(pi/(2|u|))*(cot(pi|u|) - 1/(pi|u|)),
+    with the bracket from the cavity route's own cot(s) - 1/s, which sums its
+    Taylor series below s = 0.5 instead of cancelling 1/s; so the value keeps
+    its digits as u -> 0, where it tends to pi**2/6.
     """
     u = float(u)
     if not math.isfinite(u):
@@ -571,10 +575,11 @@ def cot_series_closed_form(u: float) -> float:
     nearest = round(u)
     if nearest != 0 and abs(u - nearest) < 1e-12:
         raise SingularityError(f"u = {u!r} sits on a pole of the series")
-    if abs(u) < 0.01:
-        u2 = u * u
-        return _ZETA_EVEN[0] + u2 * (_ZETA_EVEN[1] + u2 * (_ZETA_EVEN[2] + u2 * _ZETA_EVEN[3]))
-    return 1.0 / (2.0 * u * u) - math.pi / (2.0 * u * math.tan(math.pi * u))
+    s = math.pi * abs(u)
+    if s < 1e-9:
+        # the u**2 term, (pi**4/90)*u**2, is below rounding of pi**2/6
+        return math.pi**2 / 6.0
+    return float(-0.5 * math.pi * _cot_minus_inverse(s)[0] / abs(u))
 
 
 def series_identity_residual(u: float, n_terms: int = 1_000_000) -> float:
@@ -582,13 +587,16 @@ def series_identity_residual(u: float, n_terms: int = 1_000_000) -> float:
 
     The truncation tail is ~1/n_terms, so the residual measures exactly
     that; it is the direct audit that the cotangent collapse used by the
-    cavity route is numerically sound.
+    cavity route is numerically sound.  n_terms above 10**8 (about 1.3 s)
+    raises InputError before any term is summed.
     """
     u = float(u)
     if not (1e-6 < u < 1.0 - 1e-6):
         raise InputError("u must lie in (0, 1) at least 1e-6 away from the ends")
     if not isinstance(n_terms, int) or n_terms < 1:
         raise InputError(f"n_terms must be a positive integer, got {n_terms!r}")
+    if n_terms > _MAX_SERIES_TERMS:
+        raise InputError(f"n_terms is capped at {_MAX_SERIES_TERMS}, got {n_terms}")
     total = 0.0
     chunk = 5_000_000
     for start in range(1, n_terms + 1, chunk):

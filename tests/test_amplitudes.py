@@ -4,6 +4,7 @@ import math
 import time
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from dressedbath import (
     survival_probability,
 )
 from dressedbath import amplitudes
+from dressedbath.special import ei_scaled, exp1_scaled
 
 ANY_SPEC = OhmicSystemSpec(bar_omega=1.0, g=0.1, cavity_L=1.0, light_speed=1.0)
 
@@ -160,6 +162,34 @@ def test_J_power_law_tail_windows():
     hard = OhmicSystemSpec(bar_omega=1.0, g=10.0, cavity_L=1.0, light_speed=1.0)
     r = bath_integral_J(hard, 500.0) * 500.0**3 / 40.0
     assert 1.03 < r < 1.08
+
+
+CRITICAL = OhmicSystemSpec(bar_omega=1.0, g=2.0 / math.pi, cavity_L=1.0,
+                           light_speed=1.0)
+CRITICAL_A = 0.5 * math.pi * CRITICAL.g
+
+
+@pytest.mark.parametrize("x", [60.0, 100.0, 200.0, 1e3, 1e4, 1e5])
+def test_critical_J_series_matches_50_digits(x):
+    # the exponential-integral form cancels O(1) terms down to 8/(pi*x**3)
+    # and read 5.4e-6 relative at x = 1e4; the series holds rounding
+    t = x / CRITICAL_A
+    with mp.workdps(50):
+        big = mp.mpf(CRITICAL_A * t)
+        ref = ((big - 1) * mp.exp(-big) * mp.ei(big)
+               - (big + 1) * mp.exp(big) * mp.e1(big)) / mp.pi
+    assert bath_integral_J(CRITICAL, t) == pytest.approx(float(ref), rel=1e-14)
+
+
+def test_critical_J_array_matches_scalar_calls():
+    t = np.concatenate((np.linspace(0.5, 59.5, 60), np.geomspace(61.0, 1e5, 40)))
+    t /= CRITICAL_A
+    j = bath_integral_J(CRITICAL, t)
+    assert all(j[k] == bath_integral_J(CRITICAL, float(tk)) for k, tk in enumerate(t))
+    # below x = 60 the exponential-integral form stays bit for bit
+    x = CRITICAL_A * t[:60]
+    near = ((x - 1.0) * ei_scaled(x) - (x + 1.0) * np.real(exp1_scaled(x))) / math.pi
+    assert np.array_equal(j[:60], near)
 
 
 def test_J_input_guards():
@@ -400,5 +430,4 @@ def test_amplitude_series_validation():
         AmplitudeSeries(times=np.array([0.0, 1.0]),
                         values=np.array([1.0 + 0j]),
                         method=AmplitudeMethod.CLOSED_FORM,
-                        regime=classify_regime(ANY_SPEC),
                         spec_snapshot=ANY_SPEC)

@@ -14,6 +14,7 @@ from dressedbath import (
     cli,
     solve_finite_spectrum,
 )
+from dressedbath.errors import OverflowGuardError, SingularityError, StabilityError
 from dressedbath.cli import main, spec_from_metadata
 
 WEAK_BETA = repr(1.0 / 137)
@@ -339,20 +340,28 @@ def test_oversized_quadrature_grid_fails_fast(capsys):
 
 
 def test_oversized_spectrum_and_mode_sum_fail_fast(capsys):
-    # a finite bath of 10**6 + 1 modes (over the solver's cap) and a
-    # 2001-mode x 70000-time cavity curve (1.4e8 phase terms, over 2**27)
-    # both exit 1 at once
+    # a finite bath of 10**6 + 1 modes (over the solver's cap), a
+    # 2001-mode x 70000-time cavity curve (1.4e8 phase terms, over 2**27),
+    # and k_max or samples over their caps of 10**6 all exit 1 at once
+    small = ("--beta", "0.3", "--delta", "0.005")
     for args, message in (
         (("spectrum", "--n-modes", "1000001", "--beta", "0.3", "--delta", "0.7"),
          "capped at n_modes = 1000000"),
         (("cavity", "--k-max", "2000", "--samples", "70000", "--beta", "0.1",
           "--delta", "0.05"), "2**27 phase terms"),
+        (("spectrum", "--route", "cavity", "--k-max", "1000001", *small),
+         "k_max is capped at 1000000, got 1000001"),
+        (("spectrum", "--route", "small-l", "--k-max", "1000001", *small),
+         "k_max is capped at 1000000, got 1000001"),
+        (("decay", "--samples", "1000001", *small),
+         "samples is capped at 1000000, got 1000001"),
     ):
         start = time.perf_counter()
         rc, out, err = run_cli(capsys, *args, "--bar-omega", "1.0",
                                "--light-speed", "1.0")
         assert time.perf_counter() - start < 0.5
         assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
 
@@ -378,6 +387,19 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
                          "--cavity-L", "1.0")
     assert rc == 2
     assert err.startswith("numerical failure:")
+
+
+@pytest.mark.parametrize("error", [StabilityError, SingularityError, OverflowGuardError])
+def test_other_package_errors_exit_2(monkeypatch, capsys, error):
+    # every package error outside the input classes is a numerical failure
+    def explode(args):
+        raise error("synthetic blowup")
+
+    monkeypatch.setattr(cli, "cmd_decay", explode)
+    rc, out, err = run_cli(capsys, "decay", "--bar-omega", "1.0", "--beta", "0.3",
+                           "--cavity-L", "1.0")
+    assert rc == 2 and out == ""
+    assert err == "numerical failure: synthetic blowup\n"
 
 
 def test_grid_guards(capsys):

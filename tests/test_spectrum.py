@@ -239,6 +239,17 @@ def test_finite_spectrum_refuses_large_baths_at_once():
 # cavity route
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("route", [solve_cavity_spectrum, approx_small_L_spectrum])
+def test_ladder_routes_refuse_large_k_max_at_once(route):
+    # both ladders are O(k_max): the cavity solve at 10**6 takes about 0.4 s
+    # and 0.14 GB, so 10**6 + 1 must fail before any array is built
+    spec = OhmicSystemSpec.from_dimensionless(beta=0.3, delta=0.005)
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="k_max is capped at 1000000"):
+        route(spec, k_max=1_000_001)
+    assert time.perf_counter() - start < 0.5
+
+
 def _cavity_root_highprec(k, delta, c_const):
     kpi = k * mp.pi
 
@@ -445,10 +456,23 @@ def test_closed_form_against_mpmath(u):
 
 def test_closed_form_small_u_limit():
     assert cot_series_closed_form(0.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-15)
-    # both sides of the Taylor/cotangent seam at |u| = 0.01
-    for u in (0.009999, 0.010001):
+    # both sides of the Taylor/cotangent seam of cot(s) - 1/s at s = pi*|u| = 0.5
+    for u in (0.5 / math.pi - 1e-9, 0.5 / math.pi + 1e-9):
         ref = float(mp.nsum(lambda k: 1.0 / (k * k - mp.mpf(u) ** 2), [1, mp.inf]))
         assert cot_series_closed_form(u) == pytest.approx(ref, rel=1e-13)
+
+
+def test_closed_form_within_rounding_of_40_digits():
+    # the bracket cot(s) - 1/s sums its Taylor series below s = 0.5, so no
+    # 1/(2u**2) of size up to 5e11 cancels down to pi**2/6; the series is even
+    worst = 0.0
+    for u in np.geomspace(1e-6, 0.9, 120):
+        with mp.workdps(40):
+            big = mp.mpf(float(u))
+            ref = 1 / (2 * big * big) - mp.pi * mp.cot(mp.pi * big) / (2 * big)
+        for sign in (1.0, -1.0):
+            worst = max(worst, float(abs(cot_series_closed_form(sign * u) - ref) / ref))
+    assert worst < 4e-15
 
 
 def test_closed_form_pole_guard():
@@ -462,6 +486,14 @@ def test_residual_scales_like_the_truncation_tail():
     # tail of sum 1/(k^2 - u^2) beyond n is ~1/n
     res = series_identity_residual(0.3, n_terms=10000)
     assert 0.5e-4 < res < 2.0e-4
+
+
+def test_residual_refuses_huge_term_counts_at_once():
+    # 10**7 terms take about 0.13 s, so 10**12 would run for hours
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="n_terms is capped at 100000000"):
+        series_identity_residual(0.3, n_terms=10**12)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_residual_guards():
