@@ -340,7 +340,7 @@ def f00_quadrature(spec: OhmicSystemSpec, times) -> AmplitudeSeries:
 # J on the critical branch past x = a*t = 60: the asymptotic series
 # (2/pi) * sum_{m>=1} 2m*(2m)!/x**(2m+1) of the exponential-integral form,
 # whose O(1) terms cancel to 8/(pi*x**3) and lose about eps*x**3/8.
-# Fourteen terms hold 6e-16 from x = 60 up; below, the series never gets there.
+# Fourteen terms hold 6e-16 from x = 60 up; at x = 40 no truncation beats 4e-13.
 _J_SERIES_EDGE = 60.0
 _J_SERIES = tuple(float(2 * m * math.factorial(2 * m)) for m in range(1, 15))
 

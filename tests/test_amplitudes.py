@@ -175,9 +175,9 @@ def test_critical_J_series_matches_50_digits(x):
     # and read 5.4e-6 relative at x = 1e4; the series holds rounding
     t = x / CRITICAL_A
     with mp.workdps(50):
-        big = mp.mpf(CRITICAL_A * t)
-        ref = ((big - 1) * mp.exp(-big) * mp.ei(big)
-               - (big + 1) * mp.exp(big) * mp.e1(big)) / mp.pi
+        mx = mp.mpf(CRITICAL_A * t)
+        ref = ((mx - 1) * mp.exp(-mx) * mp.ei(mx)
+               - (mx + 1) * mp.exp(mx) * mp.e1(mx)) / mp.pi
     assert bath_integral_J(CRITICAL, t) == pytest.approx(float(ref), rel=1e-14)
 
 

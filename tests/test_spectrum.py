@@ -468,8 +468,8 @@ def test_closed_form_within_rounding_of_40_digits():
     worst = 0.0
     for u in np.geomspace(1e-6, 0.9, 120):
         with mp.workdps(40):
-            big = mp.mpf(float(u))
-            ref = 1 / (2 * big * big) - mp.pi * mp.cot(mp.pi * big) / (2 * big)
+            mu = mp.mpf(float(u))
+            ref = 1 / (2 * mu * mu) - mp.pi * mp.cot(mp.pi * mu) / (2 * mu)
         for sign in (1.0, -1.0):
             worst = max(worst, float(abs(cot_series_closed_form(sign * u) - ref) / ref))
     assert worst < 4e-15
