@@ -34,6 +34,8 @@ the delta at which the strong-coupling bound crosses zero.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
@@ -66,6 +68,7 @@ _QUAD_TARGET = 1e-9
 _QUAD_HARD_LIMIT = 1e-7
 _BLOCK_ELEMENTS = 2**18
 _MAX_PHASES = 2**27
+_WORKER_PHASES = 2**16
 _BATCH_PANELS = 4096
 _MAX_PANELS = 2**20
 _MAX_GRID_PANELS = 2**23
@@ -128,27 +131,81 @@ def _validate_times(times) -> np.ndarray:
 # discrete sum
 # ---------------------------------------------------------------------------
 
+def _worker_count(rows: int, modes: int) -> int:
+    # One worker per CPU the process may run on, each with at least one
+    # time row and _WORKER_PHASES phases, and no more workers than one
+    # block of _BLOCK_ELEMENTS phases holds rows, so total scratch memory
+    # stays at one block (or one row, when a row is longer).
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, rows, rows * modes // _WORKER_PHASES,
+                      _BLOCK_ELEMENTS // modes))
+
+
+def _sum_rows(freq, weights, t, out, budget) -> None:
+    # out[i] = sum_j weights[j] * exp(-i*freq[j]*t[i]) on blocks of about
+    # `budget` phases in two reused buffers.  glibc's cexp of 0 - i*x is
+    # cos(x) - i*sin(x) bit for bit, and negating a pairwise sum negates
+    # each partial sum exactly, so this matches summing the complex
+    # exponentials.  The imaginary part is stored as 0.0 - sum, not by
+    # conj, so it stays +0.0 at t = 0.
+    step = max(1, budget // freq.size)
+    phase = np.empty((min(step, t.size), freq.size))
+    terms = np.empty(phase.shape, dtype=complex)
+    for start in range(0, t.size, step):
+        block = t[start : start + step]
+        p, z = phase[: block.size], terms[: block.size]
+        np.multiply(block[:, None], freq, out=p)
+        np.cos(p, out=z.real)
+        z.real *= weights
+        np.sin(p, out=z.imag)
+        z.imag *= weights
+        sums = z.sum(axis=1)
+        out.real[start : start + step] = sums.real
+        np.subtract(0.0, sums.imag, out=out.imag[start : start + step])
+
+
 def _phase_sums(freq: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # sum_j weights[j] * exp(-i*freq[j]*t) at each time, on blocks of about
-    # _BLOCK_ELEMENTS phases so memory stays bounded for any mode count.
-    # numpy reduces each row of a contiguous block on its own, pairwise, so
-    # a value does not depend on which times share its call or block.  A
-    # BLAS product rounds a row by the rows beside it, and einsum switches
+    # sum_j weights[j] * exp(-i*freq[j]*t) at each time.  numpy reduces
+    # each row of a contiguous block on its own, pairwise, so a value does
+    # not depend on which times share its call, block or worker.  A BLAS
+    # product rounds a row by the rows beside it, and einsum switches
     # kernels between one long row and several; neither is batch-invariant.
-    # A phase term costs about 46 ns on a 2-core VM, so 2**27 of them is
-    # about 6 s.
+    # Real cos, sin and multiply and the complex row sum release the GIL
+    # (complex exp does not), so contiguous ranges of times run on threads.
+    # On a 2-core VM a phase term (1e5 modes a row) costs about 44 ns on
+    # one worker and 26 ns on two, so 2**27 of them take about 6 s or 3.5 s.
     if freq.size * t.size > _MAX_PHASES:
         raise InputError(
             f"a mode sum over {freq.size} modes x {t.size} times exceeds "
             "2**27 phase terms; use fewer modes or times"
         )
-    step = max(1, _BLOCK_ELEMENTS // freq.size)
     out = np.empty(t.shape, dtype=complex)
-    for start in range(0, t.size, step):
-        block = t[start : start + step]
-        terms = np.exp(-1j * block[:, None] * freq[None, :])
-        terms *= weights
-        out[start : start + step] = terms.sum(axis=1)
+    workers = _worker_count(t.size, freq.size)
+    budget = _BLOCK_ELEMENTS // workers
+    bounds = [t.size * k // workers for k in range(workers + 1)]
+    errors = []
+
+    def run(lo, hi):
+        try:
+            _sum_rows(freq, weights, t[lo:hi], out[lo:hi], budget)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            thread = threading.Thread(target=run, args=(lo, hi))
+            thread.start()
+            threads.append(thread)
+        run(bounds[0], bounds[1])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return out
 
 
@@ -157,14 +214,16 @@ def f00_discrete(modes: NormalModeSet, weights, times) -> AmplitudeSeries:
 
     ``weights`` is passed separately from the mode set so a deliberately
     perturbed weight row can be pushed through the same code path; they
-    must be positive and sum to at most 1 (+1e-8 slack).  More than 2**27
-    modes x times raises InputError before any phase is summed.
+    must be positive and sum to at most 1 (+1e-8 slack); NaN is neither.
+    More than 2**27 modes x times raises InputError before any phase is
+    summed.  The sum runs on the CPUs the process may use, with no
+    setting, and its bytes do not depend on how many there are.
     """
     t = _validate_times(times)
     w = np.asarray(weights, dtype=float)
     if w.shape != modes.frequencies.shape:
         raise InputError("need exactly one weight per mode")
-    if np.any(w <= 0.0):
+    if not np.all(w > 0.0):
         raise InputError("weights must be positive")
     if w.sum() > 1.0 + 1e-8:
         raise InputError("weights must sum to at most 1")
@@ -545,9 +604,12 @@ def cavity_survival_series(weights, frequencies, times) -> np.ndarray:
     """Survival probability |w0 e^{-i W0 t} + sum_k w_k e^{-i W_k t}|**2.
 
     ``weights`` is the pair (w0, ladder_weights); ``frequencies`` holds
-    the matching 1 + k_max mode frequencies in ascending order.  Evaluated
-    directly as a squared modulus, O(k_max) per time point; more than
-    2**27 modes x times raises InputError before any phase is summed.
+    the matching 1 + k_max mode frequencies, finite, positive and strictly
+    increasing; weights must be positive (NaN is not).  Evaluated directly
+    as a squared modulus, O(k_max) per time point; more than 2**27 modes x
+    times raises InputError before any phase is summed.  The sum runs on
+    the CPUs the process may use, with no setting, and its bytes do not
+    depend on how many there are.
     """
     try:
         w0, wk = weights
@@ -558,8 +620,13 @@ def cavity_survival_series(weights, frequencies, times) -> np.ndarray:
     freq = np.asarray(frequencies, dtype=float)
     if wk.ndim != 1 or freq.shape != (wk.size + 1,):
         raise InputError("need one frequency for w0 plus one per ladder weight")
-    if w0 <= 0.0 or np.any(wk <= 0.0):
+    if not (w0 > 0.0 and np.all(wk > 0.0)):
         raise InputError("weights must be positive")
+    if not (np.all(np.isfinite(freq)) and freq[0] > 0.0
+            and np.all(np.diff(freq) > 0.0)):
+        raise InputError(
+            "frequencies must be finite, positive and strictly increasing"
+        )
     t = _validate_times(times)
     return np.abs(_phase_sums(freq, np.concatenate(([w0], wk)), t)) ** 2
 

@@ -1,13 +1,14 @@
 """Decay amplitude routes, the branch-cut integral and cavity bounds."""
 
 import math
+import threading
 import time
 import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dressedbath import (
@@ -76,6 +77,56 @@ def test_discrete_values_do_not_depend_on_the_batch():
         assert f00_discrete(modes, modes.weights, t[[k]]).values[0] == full[k]
 
 
+def _phase_sum_case():
+    # 97 modes over 301 times with phases up to 1e6 rad, t = 0 included
+    rng = np.random.default_rng(7)
+    freq = np.sort(rng.uniform(0.5, 2000.0, 97))
+    weights = rng.uniform(0.1, 1.0, freq.size) / freq.size
+    return freq, weights, np.linspace(0.0, 500.0, 301)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_phase_sums_equal_the_complex_exponential_sum_bitwise(monkeypatch, workers):
+    # blocks of 21 rows on one worker, 10 on two and 7 on three put seams
+    # inside every worker's range of about 100 rows
+    freq, weights, t = _phase_sum_case()
+    ref = (np.exp(-1j * t[:, None] * freq) * weights).sum(axis=1)
+    monkeypatch.setattr(amplitudes, "_BLOCK_ELEMENTS", 21 * freq.size)
+    monkeypatch.setattr(amplitudes, "_worker_count", lambda rows, modes: workers)
+    got = amplitudes._phase_sums(freq, weights, t)
+    assert got.tobytes() == ref.tobytes()
+    assert not np.signbit(got[0].imag)
+
+
+def test_worker_count_bounds(monkeypatch):
+    monkeypatch.setattr(amplitudes.os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    count = amplitudes._worker_count
+    assert count(2**12 - 1, 16) == 1  # a small sum stays on the calling thread
+    assert count(3 * 2**12, 16) == 3  # at least 2**16 phases per worker
+    assert count(2**20, 16) == 8  # one per CPU
+    assert count(2**10, 2**17) == 2  # scratch stays at one block of 2**18
+    assert count(2**8, 2**19) == 1  # or one row when a row is longer
+    assert count(1, 2**17) == 1  # and every worker gets a row
+
+
+def test_phase_sums_reraise_a_worker_error_after_joining(monkeypatch):
+    real = amplitudes._sum_rows
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise ZeroDivisionError("worker failed")
+        real(*args)
+
+    freq, weights, t = _phase_sum_case()
+    monkeypatch.setattr(amplitudes, "_sum_rows", failing)
+    monkeypatch.setattr(amplitudes, "_worker_count", lambda rows, modes: 3)
+    before = threading.active_count()
+    with pytest.raises(ZeroDivisionError, match="worker failed"):
+        amplitudes._phase_sums(freq, weights, t)
+    assert threading.active_count() == before
+
+
 def test_corrupted_weights_show_up_at_t_zero():
     modes = solve_finite_spectrum(
         OhmicSystemSpec(bar_omega=1.0, g=0.3, cavity_L=1.0, n_modes=8,
@@ -98,6 +149,19 @@ def test_discrete_sum_guards():
         f00_discrete(modes, modes.weights, [])
     with pytest.raises(InputError):
         f00_discrete(modes, modes.weights, [-1.0])
+
+
+def _no_phase_sums(*args):
+    raise AssertionError("a phase was summed")
+
+
+def test_discrete_sum_refuses_nan_weights(monkeypatch):
+    modes = NormalModeSet(frequencies=np.array([1.0, 2.0]),
+                          weights=np.array([0.6, 0.4]),
+                          source=ModeSource.FINITE_N, spec_snapshot=ANY_SPEC)
+    monkeypatch.setattr(amplitudes, "_phase_sums", _no_phase_sums)
+    with pytest.raises(InputError, match="positive"):
+        f00_discrete(modes, np.array([0.6, math.nan]), [0.0, 1.0])
 
 
 def test_cavity_ladder_approaches_free_space_before_the_echo():
@@ -370,8 +434,8 @@ def test_cavity_survival_series_memory_is_bounded():
 
 
 def test_cavity_survival_series_refuses_oversized_mode_sums():
-    # 2**20 + 1 modes x 129 times is just over 2**27 phase terms, about
-    # 6 s of work; the guard fires before any block runs
+    # 2**20 + 1 modes x 129 times is just over 2**27 phase terms, seconds
+    # of work; the guard fires before any block runs
     wk = np.full(2**20, 1e-7)
     freqs = np.arange(1.0, wk.size + 2.0)
     start = time.perf_counter()
@@ -389,6 +453,21 @@ def test_cavity_survival_series_guards():
     with pytest.raises(InputError):
         cavity_survival_series((-0.1, np.array([0.05])),
                                np.array([1.0, 2.0]), [0.0])
+
+
+@pytest.mark.parametrize("w0, freqs", [
+    (math.nan, [1.0, 2.0, 3.0]),
+    (0.9, [1.0, math.nan, 3.0]),
+    (0.9, [1.0, math.inf, 3.0]),
+    (0.9, [-1.0, 2.0, 3.0]),
+    (0.9, [3.0, 2.0, 1.0]),
+], ids=["nan-w0", "nan-frequency", "infinite-frequency", "negative-frequency",
+        "descending-ladder"])
+def test_cavity_survival_series_refuses_bad_inputs(monkeypatch, w0, freqs):
+    monkeypatch.setattr(amplitudes, "_phase_sums", _no_phase_sums)
+    with pytest.raises(InputError):
+        cavity_survival_series((w0, np.array([0.04, 0.03])), np.array(freqs),
+                               [0.0, 1.0])
 
 
 def test_cavity_min_bound_frozen_values():
@@ -416,6 +495,33 @@ def test_delta_max_solve():
         solve_delta_max("weak")
     with pytest.raises(InputError):
         solve_delta_max("other")
+
+
+WEAK_BOUND_MIN_DELTA = 15.0 / (28.0 * math.pi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_min_bounds_strictly_decrease(a, b):
+    # the strong bound up to its zero delta_max = 0.3724; the weak one only
+    # up to its minimum at 15/(28*pi) = 0.1705, where it turns back up
+    a, b = sorted((a, b))
+    assume(b - a >= 1e-6)
+    for regime, top in (("strong", solve_delta_max()),
+                        ("weak", WEAK_BOUND_MIN_DELTA)):
+        lo, hi = a * top, b * top
+        assert (cavity_min_bound(lo, regime).min_probability
+                > cavity_min_bound(hi, regime).min_probability)
+
+
+def test_weak_bound_minimum_sits_at_15_over_28_pi():
+    deltas = np.linspace(0.0, solve_delta_max(), 2001)
+    values = np.array([cavity_min_bound(d, "weak").min_probability
+                       for d in deltas])
+    k = int(np.argmin(values))
+    assert abs(deltas[k] - WEAK_BOUND_MIN_DELTA) <= deltas[1]
+    assert np.all(np.diff(values[: k + 1]) < 0.0)
+    assert np.all(np.diff(values[k + 1 :]) > 0.0)
 
 
 def test_bound_input_guards():

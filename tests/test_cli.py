@@ -11,6 +11,7 @@ import pytest
 from dressedbath import (
     NumericalFailure,
     OhmicSystemSpec,
+    amplitudes,
     cli,
     solve_finite_spectrum,
 )
@@ -307,6 +308,23 @@ def test_invalid_thread_env(tmp_path, monkeypatch, capsys):
     # the bytes of a run without the variable
     assert (_decay_bytes(tmp_path, monkeypatch, capsys, "many")
             == _decay_bytes(tmp_path, monkeypatch, capsys, None))
+
+
+@pytest.mark.parametrize("args", [
+    ("cavity", "--bar-omega", "1.0", "--beta", WEAK_BETA, "--delta", "0.005",
+     "--light-speed", "1.0", "--k-max", "2000", "--samples", "200"),
+    ("decay", "--bar-omega", "1.0", "--beta", "0.3", "--cavity-L", "1.0",
+     "--light-speed", "1.0", "--n-modes", "200", "--method", "discrete"),
+], ids=["cavity-weak", "decay-discrete"])
+def test_mode_sum_worker_count_does_not_change_output(monkeypatch, capsys, args):
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(amplitudes, "_worker_count",
+                            lambda rows, modes, n=workers: n)
+        rc, out, _ = run_cli(capsys, *args)
+        assert rc == 0
+        outputs.append(out.encode())
+    assert outputs[0] == outputs[1]
 
 
 def test_flag_and_file_values_share_one_coercion(tmp_path, capsys):

@@ -1,10 +1,15 @@
-"""The benchmark harness's tracer names layers that still exist."""
+"""The benchmark harness's tracer names layers that still exist, and the
+package's import stays light."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_traced_layers_resolve_in_the_package():
@@ -15,3 +20,14 @@ def test_traced_layers_resolve_in_the_package():
     for module, function in tracing.LAYERS:
         target = importlib.import_module(f"dressedbath.{module}")
         assert callable(getattr(target, function, None)), f"{module}.{function}"
+
+
+def test_cli_import_pulls_in_no_process_pools():
+    # mode sums run on plain threads; concurrent.futures alone would add
+    # about 11 ms to every fresh process
+    code = ("import sys, dressedbath.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
