@@ -128,19 +128,56 @@ def _validate_times(times) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# worker threads
+# ---------------------------------------------------------------------------
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _on_threads(task, bounds) -> None:
+    # task(lo, hi) on each range between consecutive bounds: the first on
+    # the calling thread, every other one on a plain thread of its own.
+    # numpy's ufuncs and reductions release the GIL, so the ranges run at
+    # once.  Once every thread has joined, the error of the lowest range
+    # that raised is re-raised, so which one surfaces does not depend on
+    # timing.
+    errors = [None] * (len(bounds) - 1)
+
+    def run(k):
+        try:
+            task(bounds[k], bounds[k + 1])
+        except BaseException as exc:
+            errors[k] = exc
+
+    threads = []
+    try:
+        for k in range(1, len(errors)):
+            thread = threading.Thread(target=run, args=(k,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+# ---------------------------------------------------------------------------
 # discrete sum
 # ---------------------------------------------------------------------------
 
 def _worker_count(rows: int, modes: int) -> int:
-    # One worker per CPU the process may run on, each with at least one
-    # time row and _WORKER_PHASES phases, and no more workers than one
-    # block of _BLOCK_ELEMENTS phases holds rows, so total scratch memory
-    # stays at one block (or one row, when a row is longer).
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, rows, rows * modes // _WORKER_PHASES,
+    # One worker per usable CPU, each with at least one time row and
+    # _WORKER_PHASES phases, and no more workers than one block of
+    # _BLOCK_ELEMENTS phases holds rows, so total scratch memory stays at
+    # one block (or one row, when a row is longer).
+    return max(1, min(_usable_cpus(), rows, rows * modes // _WORKER_PHASES,
                       _BLOCK_ELEMENTS // modes))
 
 
@@ -173,10 +210,11 @@ def _phase_sums(freq: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.ndar
     # not depend on which times share its call, block or worker.  A BLAS
     # product rounds a row by the rows beside it, and einsum switches
     # kernels between one long row and several; neither is batch-invariant.
-    # Real cos, sin and multiply and the complex row sum release the GIL
-    # (complex exp does not), so contiguous ranges of times run on threads.
-    # On a 2-core VM a phase term (1e5 modes a row) costs about 44 ns on
-    # one worker and 26 ns on two, so 2**27 of them take about 6 s or 3.5 s.
+    # Contiguous ranges of times run on threads.  Complex exp releases the
+    # GIL as well and scales as far on two threads; real cos and sin give
+    # the same bytes and were no slower on one CPU.  On a 2-core VM a phase
+    # term (1e5 modes a row) costs about 44 ns on one worker and 26 ns on
+    # two, so 2**27 of them take about 6 s or 3.5 s.
     if freq.size * t.size > _MAX_PHASES:
         raise InputError(
             f"a mode sum over {freq.size} modes x {t.size} times exceeds "
@@ -185,27 +223,11 @@ def _phase_sums(freq: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.ndar
     out = np.empty(t.shape, dtype=complex)
     workers = _worker_count(t.size, freq.size)
     budget = _BLOCK_ELEMENTS // workers
-    bounds = [t.size * k // workers for k in range(workers + 1)]
-    errors = []
 
     def run(lo, hi):
-        try:
-            _sum_rows(freq, weights, t[lo:hi], out[lo:hi], budget)
-        except BaseException as exc:
-            errors.append(exc)
+        _sum_rows(freq, weights, t[lo:hi], out[lo:hi], budget)
 
-    threads = []
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            thread = threading.Thread(target=run, args=(lo, hi))
-            thread.start()
-            threads.append(thread)
-        run(bounds[0], bounds[1])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    _on_threads(run, [t.size * k // workers for k in range(workers + 1)])
     return out
 
 
@@ -311,6 +333,16 @@ def _f00_at_zero(g: float, bar_sq: float, w_top: float, density, head_edges):
     return complex(head + tail), err_h + err_t
 
 
+def _quadrature_workers(n_panels: np.ndarray) -> int:
+    # One worker per usable CPU, each with at least _BATCH_PANELS initial
+    # panels.  A worker's pass in flight holds under _BATCH_PANELS panels
+    # plus those of its last time, so the workers together never hold more
+    # than one worker may alone: _MAX_PANELS plus one batch.
+    in_flight = _BATCH_PANELS + n_panels.max()
+    return max(1, min(_usable_cpus(), int(n_panels.sum() // _BATCH_PANELS),
+                      int((_MAX_PANELS + _BATCH_PANELS) // in_flight)))
+
+
 def _f00_oscillating(g: float, bar_sq: float, w_top: float, density, head_edges, t):
     # f00 and its error estimate at the positive times t
     # analytic tail starts once the phase w*t clears `phase_min`, chosen so
@@ -321,7 +353,7 @@ def _f00_oscillating(g: float, bar_sq: float, w_top: float, density, head_edges,
     w_tail = np.maximum(w_top, phase_min / t)
 
     # consecutive times share an adaptive pass until it holds about
-    # _BATCH_PANELS initial panels
+    # _BATCH_PANELS initial panels, in each worker's range
     n_panels = head_edges.size + w_tail * t / math.pi
     if n_panels.max() > _MAX_PANELS:
         raise InputError(
@@ -335,16 +367,27 @@ def _f00_oscillating(g: float, bar_sq: float, w_top: float, density, head_edges,
             f"more than the {_MAX_GRID_PANELS} that run in about 10 s; use fewer "
             "samples or a smaller t_max"
         )
-    batch = (np.cumsum(n_panels) - n_panels) // _BATCH_PANELS
     head = np.empty(t.shape, dtype=complex)
     err_h = np.empty(t.shape)
-    for idx in np.split(np.arange(t.size), np.flatnonzero(np.diff(batch)) + 1):
-        head[idx], err_h[idx] = adaptive_gk(
-            density,
-            _panel_edges(head_edges, w_tail[idx], t[idx]),
-            0.5 * _QUAD_TARGET,
-            times=t[idx],
-        )
+
+    def run(lo, hi):
+        n = n_panels[lo:hi]
+        batch = (np.cumsum(n) - n) // _BATCH_PANELS
+        for idx in np.split(np.arange(lo, hi), np.flatnonzero(np.diff(batch)) + 1):
+            head[idx], err_h[idx] = adaptive_gk(
+                density,
+                _panel_edges(head_edges, w_tail[idx], t[idx]),
+                0.5 * _QUAD_TARGET,
+                times=t[idx],
+            )
+
+    # contiguous ranges of about equal initial-panel count, one per worker;
+    # adaptive_gk gives each time the same value whichever times share its
+    # call, so the bytes do not depend on the worker count
+    workers = _quadrature_workers(n_panels)
+    shares = n_panels.sum() * np.arange(workers) / workers
+    starts = np.cumsum(n_panels) - n_panels
+    _on_threads(run, np.unique(np.append(np.searchsorted(starts, shares), t.size)))
 
     f_derivs = _tail_derivatives(w_tail, bar_sq, g)
     it = 1j * t
@@ -363,7 +406,10 @@ def f00_quadrature(spec: OhmicSystemSpec, times) -> AmplitudeSeries:
     Work and memory per time point grow as t*(4*bar_omega + 4*pi*g)/pi
     initial panels.  A time that needs more than 2**20 of them, or a grid
     that needs more than 2**23 in all (about 10 s of work), raises
-    InputError before any quadrature runs.
+    InputError before any quadrature runs.  Grids of at least 8192 initial
+    panels run on the CPUs the process may use, in contiguous time ranges
+    of at least 4096 panels each, with no setting; the bytes do not depend
+    on how many CPUs there are.
     """
     t_arr = _validate_times(times)
     bar_sq = spec.bar_omega * spec.bar_omega

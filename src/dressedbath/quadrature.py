@@ -66,13 +66,22 @@ def _eval_panels(func, lefts, rights, freqs=None):
     fvals = np.asarray(func(nodes.ravel())).reshape(nodes.shape)
     if freqs is not None:
         # e^{-i w t} at w = c + h*x is e^{-i c t} e^{-i h t x}, and the nodes
-        # pair up as +-x, so 8 complex exponentials per panel give all 15
-        pair = np.exp(-1j * (halves * freqs)[:, None] * _XGK_HALF[None, :7])
+        # pair up as +-x, so 8 phases per panel give all 15.  glibc's cexp
+        # of 0 - i*y is cos(y) - i*sin(y) bit for bit, so real cos and sin
+        # give the complex exponentials' values, a little faster.
+        arg = (halves * freqs)[:, None] * _XGK_HALF[None, :7]
         phase = np.empty(nodes.shape, dtype=complex)
-        np.conjugate(pair, out=phase[:, :7])
+        np.cos(arg, out=phase.real[:, :7])
+        np.sin(arg, out=phase.imag[:, :7])
         phase[:, 7] = 1.0
-        phase[:, 8:] = pair[:, ::-1]
-        phase *= np.exp(-1j * centers * freqs)[:, None]
+        phase.real[:, 8:] = phase.real[:, 6::-1]
+        np.negative(phase.imag[:, 6::-1], out=phase.imag[:, 8:])
+        arg = centers * freqs
+        center = np.empty(arg.shape, dtype=complex)
+        np.cos(arg, out=center.real)
+        np.sin(arg, out=center.imag)
+        np.negative(center.imag, out=center.imag)
+        phase *= center[:, None]
         phase *= fvals
         fvals = phase
     # einsum, not a BLAS matrix-vector product: BLAS rounds a lone row

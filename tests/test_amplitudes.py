@@ -1,6 +1,7 @@
 """Decay amplitude routes, the branch-cut integral and cavity bounds."""
 
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -17,6 +18,7 @@ from dressedbath import (
     InputError,
     ModeSource,
     NormalModeSet,
+    NumericalFailure,
     OhmicSystemSpec,
     bath_integral_J,
     cavity_min_bound,
@@ -110,20 +112,33 @@ def test_worker_count_bounds(monkeypatch):
     assert count(1, 2**17) == 1  # and every worker gets a row
 
 
-def test_phase_sums_reraise_a_worker_error_after_joining(monkeypatch):
-    real = amplitudes._sum_rows
+def _run_phase_sums():
+    amplitudes._phase_sums(*_phase_sum_case())
 
-    def failing(*args):
+
+def _run_quadrature():
+    f00_quadrature(_unit_spec(8.5), np.linspace(0.0, 60.0, 32))
+
+
+@pytest.mark.parametrize("kernel, counter, call", [
+    pytest.param("_sum_rows", "_worker_count", _run_phase_sums, id="phase-sums"),
+    pytest.param("adaptive_gk", "_quadrature_workers", _run_quadrature, id="quadrature"),
+])
+def test_threads_reraise_a_worker_error_after_joining(monkeypatch, kernel, counter, call):
+    # both users of the thread helper: a worker's error surfaces only once
+    # every thread has joined
+    real = getattr(amplitudes, kernel)
+
+    def failing(*args, **kwargs):
         if threading.current_thread() is not threading.main_thread():
-            raise ZeroDivisionError("worker failed")
-        real(*args)
+            raise NumericalFailure("worker failed")
+        return real(*args, **kwargs)
 
-    freq, weights, t = _phase_sum_case()
-    monkeypatch.setattr(amplitudes, "_sum_rows", failing)
-    monkeypatch.setattr(amplitudes, "_worker_count", lambda rows, modes: 3)
+    monkeypatch.setattr(amplitudes, kernel, failing)
+    monkeypatch.setattr(amplitudes, counter, lambda *args: 3)
     before = threading.active_count()
-    with pytest.raises(ZeroDivisionError, match="worker failed"):
-        amplitudes._phase_sums(freq, weights, t)
+    with pytest.raises(NumericalFailure, match="worker failed"):
+        call()
     assert threading.active_count() == before
 
 
@@ -299,6 +314,79 @@ def test_quadrature_values_do_not_depend_on_the_batch(g):
     for start in range(0, t.size, 64):
         chunk = f00_quadrature(spec, t[start : start + 64]).values
         assert np.array_equal(chunk, full[start : start + 64])
+
+
+def _quadrature_case(name):
+    # t = 0 in every grid; the weak peak refines (7.9k initial panels),
+    # the strong grid has 34k initial panels in eight batches
+    g, t_max, samples = {"weak": (0.0073, 200.0, 50), "strong": (8.5, 60.0, 32)}[name]
+    return _unit_spec(g), np.linspace(0.0, t_max, samples)
+
+
+@pytest.mark.parametrize("name", ["weak", "strong"])
+def test_quadrature_worker_count_does_not_change_bytes(monkeypatch, name):
+    # two and three ranges of equal initial-panel count put their seams
+    # inside batches of _BATCH_PANELS; no byte may move
+    spec, t = _quadrature_case(name)
+    out = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(amplitudes, "_quadrature_workers", lambda n, w=workers: w)
+        out[workers] = f00_quadrature(spec, t).values.tobytes()
+    assert out[1] == out[2] == out[3]
+
+
+def test_quadrature_threads_under_stress(monkeypatch):
+    # more workers than cores, switching threads every microsecond: the
+    # ranges write disjoint slices, so no value may be lost or moved
+    spec, t = _quadrature_case("strong")
+    reference = f00_quadrature(spec, t).values.tobytes()
+    monkeypatch.setattr(amplitudes, "_quadrature_workers", lambda n: 16)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.perf_counter()
+        for _ in range(3):
+            assert f00_quadrature(spec, t).values.tobytes() == reference
+        assert time.perf_counter() - start < 30.0
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+
+
+def test_quadrature_worker_count_bounds(monkeypatch):
+    monkeypatch.setattr(amplitudes, "_usable_cpus", lambda: 8)
+    count = amplitudes._quadrature_workers
+    half = amplitudes._MAX_PANELS // 2
+    assert count(np.full(100, 81.0)) == 1  # under two batches: calling thread
+    assert count(np.full(100, 82.0)) == 2  # at least 4096 panels a worker
+    assert count(np.full(10**4, 100.0)) == 8  # one per CPU
+    assert count(np.full(8, half - 4096.0)) == 2  # in flight: at most one
+    assert count(np.full(8, half + 1.0)) == 1  # worker's 2**20 plus a batch
+    assert count(np.array([10.0] * 10**5 + [half + 1.0])) == 1
+
+
+def _no_thread(*args, **kwargs):
+    raise AssertionError("a thread was started")
+
+
+def test_small_quadrature_grids_start_no_thread(monkeypatch):
+    # the median block of the continuum benchmark (critical band, 72 times
+    # to t = 30: 6780 initial panels) stays on the calling thread even
+    # with many CPUs; the strong grid of 34k panels does not
+    monkeypatch.setattr(amplitudes, "_usable_cpus", lambda: 8)
+    real = threading.Thread
+    monkeypatch.setattr(amplitudes.threading, "Thread", _no_thread)
+    f00_quadrature(_unit_spec(2.0 / math.pi), np.linspace(0.0, 30.0, 72))
+    started = []
+
+    def counted(*args, **kwargs):
+        started.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(amplitudes.threading, "Thread", counted)
+    f00_quadrature(*_quadrature_case("strong"))
+    assert len(started) == 7
 
 
 def test_quadrature_refuses_oversized_time_grids():

@@ -315,12 +315,21 @@ def test_invalid_thread_env(tmp_path, monkeypatch, capsys):
      "--light-speed", "1.0", "--k-max", "2000", "--samples", "200"),
     ("decay", "--bar-omega", "1.0", "--beta", "0.3", "--cavity-L", "1.0",
      "--light-speed", "1.0", "--n-modes", "200", "--method", "discrete"),
-], ids=["cavity-weak", "decay-discrete"])
+    ("decay", "--bar-omega", "1.0", "--beta", "8.5", "--delta", "0.05",
+     "--light-speed", "1.0", "--t-max", "60", "--method", "quadrature"),
+    ("brownian", "--bar-omega", "1.0", "--beta", "0.3", "--cavity-L", "1.0",
+     "--light-speed", "1.0", "--method", "quadrature"),
+    ("validate",),
+], ids=["cavity-weak", "decay-discrete", "decay-quadrature", "brownian-quadrature",
+        "validate"])
 def test_mode_sum_worker_count_does_not_change_output(monkeypatch, capsys, args):
+    # mode sums and continuum quadrature on one and on two workers
     outputs = []
     for workers in (1, 2):
         monkeypatch.setattr(amplitudes, "_worker_count",
                             lambda rows, modes, n=workers: n)
+        monkeypatch.setattr(amplitudes, "_quadrature_workers",
+                            lambda n_panels, n=workers: n)
         rc, out, _ = run_cli(capsys, *args)
         assert rc == 0
         outputs.append(out.encode())
