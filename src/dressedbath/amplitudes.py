@@ -369,10 +369,10 @@ def _f00_oscillating(g: float, bar_sq: float, w_top: float, density, head_edges,
         )
     head = np.empty(t.shape, dtype=complex)
     err_h = np.empty(t.shape)
+    starts = np.cumsum(n_panels) - n_panels
 
     def run(lo, hi):
-        n = n_panels[lo:hi]
-        batch = (np.cumsum(n) - n) // _BATCH_PANELS
+        batch = (starts[lo:hi] - starts[lo]) // _BATCH_PANELS
         for idx in np.split(np.arange(lo, hi), np.flatnonzero(np.diff(batch)) + 1):
             head[idx], err_h[idx] = adaptive_gk(
                 density,
@@ -386,7 +386,6 @@ def _f00_oscillating(g: float, bar_sq: float, w_top: float, density, head_edges,
     # call, so the bytes do not depend on the worker count
     workers = _quadrature_workers(n_panels)
     shares = n_panels.sum() * np.arange(workers) / workers
-    starts = np.cumsum(n_panels) - n_panels
     _on_threads(run, np.unique(np.append(np.searchsorted(starts, shares), t.size)))
 
     f_derivs = _tail_derivatives(w_tail, bar_sq, g)
