@@ -11,7 +11,6 @@ from .errors import (
     OverflowGuardError,
     ParameterError,
     SingularityError,
-    StabilityError,
 )
 from .model import (
     CRITICAL_TOLERANCE,
@@ -32,12 +31,10 @@ from .spectrum import (
     solve_finite_spectrum,
 )
 from .transform import (
-    dressed_from_normal,
     expansion_coefficient,
     finite_matrix,
 )
 from .amplitudes import (
-    AmplitudeMethod,
     AmplitudeSeries,
     bath_integral_J,
     cavity_min_bound,
@@ -56,7 +53,6 @@ from .oracle import (
     build_potential_matrix,
     cross_validate,
     eigen_decompose,
-    mode_set_from_dense,
 )
 
 __all__ = [
@@ -65,7 +61,6 @@ __all__ = [
     "ParameterError",
     "InputError",
     "NumericalFailure",
-    "StabilityError",
     "SingularityError",
     "DimensionMismatch",
     "OverflowGuardError",
@@ -84,9 +79,7 @@ __all__ = [
     "cot_series_closed_form",
     "series_identity_residual",
     "finite_matrix",
-    "dressed_from_normal",
     "expansion_coefficient",
-    "AmplitudeMethod",
     "AmplitudeSeries",
     "f00_discrete",
     "f00_quadrature",
@@ -104,6 +97,5 @@ __all__ = [
     "CheckResult",
     "build_potential_matrix",
     "eigen_decompose",
-    "mode_set_from_dense",
     "cross_validate",
 ]

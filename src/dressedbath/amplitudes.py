@@ -38,7 +38,6 @@ import os
 import threading
 from collections import namedtuple
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -49,7 +48,6 @@ from .special import ei_scaled, exp1_scaled
 from .spectrum import NormalModeSet
 
 __all__ = [
-    "AmplitudeMethod",
     "AmplitudeSeries",
     "CavitySurvivalBound",
     "DecayComparators",
@@ -74,19 +72,12 @@ _MAX_PANELS = 2**20
 _MAX_GRID_PANELS = 2**23
 
 
-class AmplitudeMethod(Enum):
-    DISCRETE_SUM = "discrete"
-    CLOSED_FORM = "closed"
-    QUADRATURE = "quadrature"
-
-
 @dataclass(frozen=True, eq=False)
 class AmplitudeSeries:
-    """f00 sampled on a time grid, tagged with how it was computed."""
+    """f00 sampled on a time grid for one spec."""
 
     times: np.ndarray
     values: np.ndarray
-    method: AmplitudeMethod
     spec_snapshot: OhmicSystemSpec
 
     def __post_init__(self) -> None:
@@ -252,7 +243,6 @@ def f00_discrete(modes: NormalModeSet, weights, times) -> AmplitudeSeries:
     return AmplitudeSeries(
         times=t,
         values=_phase_sums(modes.frequencies, w, t),
-        method=AmplitudeMethod.DISCRETE_SUM,
         spec_snapshot=modes.spec_snapshot,
     )
 
@@ -432,7 +422,6 @@ def f00_quadrature(spec: OhmicSystemSpec, times) -> AmplitudeSeries:
     return AmplitudeSeries(
         times=t_arr,
         values=values,
-        method=AmplitudeMethod.QUADRATURE,
         spec_snapshot=spec,
     )
 
@@ -614,7 +603,6 @@ def f00_closed(spec: OhmicSystemSpec, times) -> AmplitudeSeries:
     return AmplitudeSeries(
         times=t,
         values=values,
-        method=AmplitudeMethod.CLOSED_FORM,
         spec_snapshot=spec,
     )
 

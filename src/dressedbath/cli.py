@@ -177,24 +177,6 @@ def _metadata(command: str, spec: OhmicSystemSpec, extras) -> list:
     return lines
 
 
-def spec_from_metadata(text: str) -> OhmicSystemSpec:
-    """Rebuild the exact resolved spec from an emitted metadata header."""
-    for line in text.splitlines():
-        if line.startswith("# spec: "):
-            fields = dict(
-                item.split("=", 1) for item in line[len("# spec: ") :].split()
-            )
-            return OhmicSystemSpec(
-                bar_omega=float(fields["bar_omega"]),
-                g=float(fields["g"]),
-                cavity_L=float(fields["cavity_L"]),
-                n_modes=int(fields["n_modes"]),
-                light_speed=float(fields["light_speed"]),
-                hbar=float(fields["hbar"]),
-            )
-    raise InputError("no spec line found in metadata")
-
-
 def _document(meta_lines, rows) -> str:
     body = [",".join(_fmt(value) for value in row) for row in rows]
     return "\n".join(meta_lines + body) + "\n"

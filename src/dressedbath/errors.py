@@ -11,7 +11,6 @@ __all__ = [
     "ParameterError",
     "InputError",
     "NumericalFailure",
-    "StabilityError",
     "SingularityError",
     "DimensionMismatch",
     "OverflowGuardError",
@@ -32,10 +31,6 @@ class InputError(DressedBathError, ValueError):
 
 class NumericalFailure(DressedBathError, ArithmeticError):
     """An iterative scheme failed to converge to its stated tolerance."""
-
-
-class StabilityError(DressedBathError):
-    """The coupled system has no stable ground configuration."""
 
 
 class SingularityError(DressedBathError, ZeroDivisionError):

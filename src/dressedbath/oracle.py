@@ -31,8 +31,8 @@ import numpy as np
 from . import amplitudes as _amp
 from . import spectrum as _spectrum
 from . import transform as _transform
-from .errors import DressedBathError, InputError, NumericalFailure, StabilityError
-from .model import OhmicSystemSpec, derive_parameters
+from .errors import DressedBathError, InputError, NumericalFailure
+from .model import LIGHT_SPEED_SI, OhmicSystemSpec, derive_parameters
 
 __all__ = [
     "PotentialMatrix",
@@ -40,7 +40,6 @@ __all__ = [
     "ValidationReport",
     "build_potential_matrix",
     "eigen_decompose",
-    "mode_set_from_dense",
     "cross_validate",
 ]
 
@@ -66,23 +65,21 @@ def _frozen_square(name, value, dim=None) -> np.ndarray:
 class PotentialMatrix:
     """Symmetric positive-definite quadratic form of the coupled system.
 
-    ``factor``, when given, is a square C with C^T C = ``entries`` whose
-    entries are exact inputs rather than rounded products; the eigensolver
-    works on it instead of a Cholesky factor of ``entries``.
+    ``factor`` is a square C with C^T C = ``entries`` whose entries are
+    exact inputs rather than rounded products; the eigensolver works on it.
     """
 
     entries: np.ndarray
-    factor: np.ndarray | None = None
+    factor: np.ndarray
 
     def __post_init__(self) -> None:
         m = _frozen_square("potential matrix", self.entries)
         if not np.array_equal(m, m.T):
             raise InputError("potential matrix must be exactly symmetric")
         object.__setattr__(self, "entries", m)
-        if self.factor is not None:
-            object.__setattr__(
-                self, "factor", _frozen_square("factor", self.factor, m.shape[0])
-            )
+        object.__setattr__(
+            self, "factor", _frozen_square("factor", self.factor, m.shape[0])
+        )
 
     @property
     def dim(self) -> int:
@@ -95,9 +92,13 @@ def build_potential_matrix(spec: OhmicSystemSpec) -> PotentialMatrix:
     Its factor is C = [[bar_omega, 0], [eta, -diag(omega_k)]], built from
     the inputs themselves: omega0**2 = bar_omega**2 + N*eta**2 is never
     rounded on this route, which the lowest mode at strong coupling needs.
+    Both arrays are (N+1)**2 and the Jacobi sweeps cost O(N**3), so n_modes
+    above 400 raises InputError before anything is allocated.
     """
-    d = derive_parameters(spec)
     n = spec.n_modes
+    if n > _MAX_DENSE_MODES:
+        raise InputError(f"dense oracle capped at n_modes = {_MAX_DENSE_MODES}")
+    d = derive_parameters(spec)
     k = np.arange(1, n + 1)
     omega_k = d.delta_omega * k
     m = np.zeros((n + 1, n + 1))
@@ -129,23 +130,16 @@ def eigen_decompose(matrix: PotentialMatrix):
 
     Returns (eigenvalues ascending, eigenvectors as columns), eigenvector
     signs fixed so the first nonvanishing component is positive.  Raises
-    StabilityError if M is not positive definite and has no factor, and
     NumericalFailure if 100 sweeps do not converge or the off-diagonal
     mass of V^T M V exceeds 1e-12 * ||M||.
     """
-    factor = matrix.factor
-    if factor is None:
-        try:
-            factor = np.linalg.cholesky(matrix.entries).T
-        except np.linalg.LinAlgError:
-            raise StabilityError("potential matrix is not positive definite") from None
     n = matrix.dim
     m = n + n % 2
     h = m // 2
     # row j holds column j of C, then column j of V (V starts as I); the
     # top half of the rows pairs with the bottom half, row i with row h + i
     w = np.zeros((m, 2 * n))
-    w[:n, :n] = factor.T
+    w[:n, :n] = matrix.factor.T
     w[np.arange(n), n + np.arange(n)] = 1.0
     # one round-robin step: row 0 stays and every other row moves one
     # place around the ring; m - 1 steps bring every row home.  With two
@@ -204,21 +198,6 @@ def eigen_decompose(matrix: PotentialMatrix):
     if np.linalg.norm(off) > 1e-12 * np.linalg.norm(matrix.entries):
         raise NumericalFailure("Jacobi residual off-diagonal mass exceeds 1e-12")
     return eigvals, vecs
-
-
-def mode_set_from_dense(spec: OhmicSystemSpec) -> _spectrum.NormalModeSet:
-    """NormalModeSet computed entirely through the dense route."""
-    if spec.n_modes > _MAX_DENSE_MODES:
-        raise InputError(f"dense oracle capped at n_modes = {_MAX_DENSE_MODES}")
-    eigvals, vecs = eigen_decompose(build_potential_matrix(spec))
-    if eigvals[0] <= 0.0:
-        raise StabilityError("dense route found a nonpositive squared frequency")
-    return _spectrum.NormalModeSet(
-        frequencies=np.sqrt(eigvals),
-        weights=vecs[0, :] ** 2,
-        source=_spectrum.ModeSource.DENSE_ORACLE,
-        spec_snapshot=spec,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +378,7 @@ def cross_validate(spec: OhmicSystemSpec) -> ValidationReport:
         pass
 
     delta_max = _amp.solve_delta_max("strong")
-    ceiling = 2.0 * 2.99792458e8 * delta_max / (10.0 * 4e14)
+    ceiling = 2.0 * LIGHT_SPEED_SI * delta_max / (10.0 * 4e14)
     notes.append(
         "strong-coupling cavity ceiling at a red-visible frequency "
         f"(4e14 rad/s, beta = 10) computes to {ceiling:.4e} m, about half "

@@ -58,6 +58,12 @@ _WGK = np.concatenate((_WGK_HALF[:7], _WGK_HALF[::-1]))
 _GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 _WG = np.concatenate((_WG_HALF[:3], _WG_HALF[3:4], _WG_HALF[2::-1]))
 
+# refinement budget of each integral (each time of a batched call): a group
+# stops splitting at this many panels, and a call stops after this many
+# rounds of splitting
+_PANEL_BUDGET = 200000
+_REFINE_ROUNDS = 40
+
 
 def _eval_panels(func, lefts, rights, freqs=None):
     centers = 0.5 * (lefts + rights)
@@ -92,16 +98,16 @@ def _eval_panels(func, lefts, rights, freqs=None):
     return kron, np.abs(kron - gauss)
 
 
-def adaptive_gk(func, edges, tol_abs, max_panels=200000, max_rounds=40,
-                times=None):
+def adaptive_gk(func, edges, tol_abs, times=None):
     """Integrate func over [edges[0], edges[-1]] with adaptive bisection.
 
     func must accept a 1d array and return values elementwise (real or
     complex).  edges fixes the initial panel boundaries; panels whose error
     exceeds its fair share of tol_abs are split in half until the summed
-    estimate drops below tol_abs or the budget runs out.  Returns
-    (value, error_estimate); the caller decides whether a missed tolerance
-    is fatal.  Raises NumericalFailure on non-finite integrand values.
+    estimate drops below tol_abs or the budget runs out (200000 panels,
+    40 rounds).  Returns (value, error_estimate); the caller decides
+    whether a missed tolerance is fatal.  Raises NumericalFailure on
+    non-finite integrand values.
 
     With ``times`` (a 1d array) the call integrates func(w)*exp(-i*w*t_k)
     for every t_k at once: ``edges`` then holds one edge list per time and
@@ -133,11 +139,11 @@ def adaptive_gk(func, edges, tol_abs, max_panels=200000, max_rounds=40,
         return _eval_panels(func, lo, hi, None if times is None else times[who])
 
     vals, errs = evaluate(lefts, rights, owner)
-    for _ in range(max_rounds):
+    for _ in range(_REFINE_ROUNDS):
         if not np.all(np.isfinite(errs)):
             raise NumericalFailure("integrand produced non-finite values")
         count = np.bincount(owner, minlength=n_groups)
-        open_ = (np.bincount(owner, errs, n_groups) > tol) & (count < max_panels)
+        open_ = (np.bincount(owner, errs, n_groups) > tol) & (count < _PANEL_BUDGET)
         if not open_.any():
             break
         # every panel below tol/(2n) is fine as is; if all of an open

@@ -89,7 +89,6 @@ class ModeSource(Enum):
     FINITE_N = "finite-n"
     CAVITY_CLOSED_FORM = "cavity"
     SMALL_L_ASYMPTOTIC = "small-l"
-    DENSE_ORACLE = "dense-oracle"
 
 
 @dataclass(frozen=True, eq=False)

@@ -38,7 +38,6 @@ __all__ = [
     "TransformMatrix",
     "ExpansionCoefficient",
     "finite_matrix",
-    "dressed_from_normal",
     "expansion_coefficient",
 ]
 
@@ -56,7 +55,6 @@ class TransformMatrix:
     """Square orthogonal transform; rows are bare coordinates, columns modes."""
 
     entries: np.ndarray
-    source: ModeSource
 
     def __post_init__(self) -> None:
         t = np.asarray(self.entries, dtype=float)
@@ -66,10 +64,6 @@ class TransformMatrix:
             raise InputError("transform entries must be finite")
         t.setflags(write=False)
         object.__setattr__(self, "entries", t)
-
-    @property
-    def dim(self) -> int:
-        return int(self.entries.shape[0])
 
 
 @dataclass(frozen=True)
@@ -118,32 +112,7 @@ def finite_matrix(spec: OhmicSystemSpec, modes: NormalModeSet) -> TransformMatri
         raise NumericalFailure(
             f"transform columns miss orthonormality by {gram_err:.3e}"
         )
-    return TransformMatrix(entries=t, source=ModeSource.FINITE_N)
-
-
-def dressed_from_normal(
-    normal_amplitudes,
-    matrix: TransformMatrix,
-    modes: NormalModeSet,
-    spec: OhmicSystemSpec,
-) -> np.ndarray:
-    """Map normal-mode amplitudes Q_r to bare-coordinate amplitudes.
-
-    The dressed coordinate of bare oscillator mu is
-    q_mu = (1/sqrt(w_mu)) * sum_r t_mu^r * sqrt(Omega_r) * Q_r with
-    w_mu the bare frequency ladder [bar_omega, omega_1..omega_N]; the
-    square roots make the map unitary on the oscillator ground-state
-    widths rather than on raw coordinates.
-    """
-    q = np.asarray(normal_amplitudes, dtype=float)
-    n = spec.n_modes
-    if matrix.dim != n + 1 or modes.n_modes_total != n + 1 or q.shape != (n + 1,):
-        raise DimensionMismatch(
-            "matrix, modes and amplitudes must all describe n_modes + 1 oscillators"
-        )
-    d = derive_parameters(spec)
-    bare = np.concatenate(([spec.bar_omega], d.delta_omega * np.arange(1, n + 1)))
-    return (matrix.entries @ (np.sqrt(modes.frequencies) * q)) / np.sqrt(bare)
+    return TransformMatrix(entries=t)
 
 
 def expansion_coefficient(n0_prime: int, occupations, t0_row) -> ExpansionCoefficient:

@@ -13,7 +13,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dressedbath import (
-    AmplitudeMethod,
     AmplitudeSeries,
     InputError,
     ModeSource,
@@ -48,7 +47,6 @@ def test_discrete_sum_two_mode_hand_case():
     series = f00_discrete(modes, modes.weights, t)
     ref = 0.6 * np.exp(-1j * t) + 0.4 * np.exp(-2j * t)
     assert np.allclose(series.values, ref, atol=1e-15)
-    assert series.method is AmplitudeMethod.DISCRETE_SUM
     assert np.allclose(survival_probability(series), np.abs(ref) ** 2)
 
 
@@ -623,5 +621,4 @@ def test_amplitude_series_validation():
     with pytest.raises(InputError):
         AmplitudeSeries(times=np.array([0.0, 1.0]),
                         values=np.array([1.0 + 0j]),
-                        method=AmplitudeMethod.CLOSED_FORM,
                         spec_snapshot=ANY_SPEC)

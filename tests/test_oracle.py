@@ -1,7 +1,9 @@
 """Dense-matrix cross-check route: Jacobi eigensolver and the report."""
 
 import math
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -12,16 +14,13 @@ from hypothesis import strategies as st
 from dressedbath import (
     CheckResult,
     InputError,
-    ModeSource,
     NumericalFailure,
     OhmicSystemSpec,
     PotentialMatrix,
-    StabilityError,
     build_potential_matrix,
     cross_validate,
     derive_parameters,
     eigen_decompose,
-    mode_set_from_dense,
     solve_finite_spectrum,
 )
 from dressedbath import oracle, spectrum
@@ -47,13 +46,15 @@ def test_potential_matrix_layout():
 
 def test_potential_matrix_validation():
     with pytest.raises(InputError):
-        PotentialMatrix(entries=np.zeros((2, 3)))
+        PotentialMatrix(entries=np.zeros((2, 3)), factor=np.eye(2))
     with pytest.raises(InputError):
-        PotentialMatrix(entries=np.array([[1.0, 2.0], [2.0 + 1e-15, 1.0]]))
+        PotentialMatrix(entries=np.array([[1.0, 2.0], [2.0 + 1e-15, 1.0]]),
+                        factor=np.eye(2))
     with pytest.raises(InputError):
-        PotentialMatrix(entries=np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        PotentialMatrix(entries=np.array([[np.nan, 0.0], [0.0, 1.0]]),
+                        factor=np.eye(2))
     given = np.eye(3)
-    frozen = PotentialMatrix(entries=given)
+    frozen = PotentialMatrix(entries=given, factor=np.eye(3))
     assert not frozen.entries.flags.writeable
     assert given.flags.writeable
     assert frozen.dim == 3
@@ -66,7 +67,8 @@ def test_potential_matrix_factor_validation():
         PotentialMatrix(entries=np.eye(2), factor=np.zeros((2, 3)))
     with pytest.raises(InputError):
         PotentialMatrix(entries=np.eye(2), factor=np.array([[1.0, 0.0], [np.inf, 1.0]]))
-    assert PotentialMatrix(entries=np.eye(2)).factor is None
+    with pytest.raises(TypeError):
+        PotentialMatrix(entries=np.eye(2))
     built = build_potential_matrix(SPEC)
     assert built.factor.shape == built.entries.shape
     assert not built.factor.flags.writeable
@@ -89,16 +91,6 @@ def test_factor_reproduces_the_potential_matrix(n_modes):
             assert gap <= 4.0 * np.finfo(float).eps * scale
 
 
-@pytest.mark.parametrize("entries", [
-    [[1.0, 2.0], [2.0, 1.0]],
-    [[-1.0, 0.5], [0.5, 1.0]],
-    [[0.0, 1.0], [1.0, 1.0]],
-])
-def test_jacobi_refuses_a_matrix_that_is_not_positive_definite(entries):
-    with pytest.raises(StabilityError):
-        eigen_decompose(PotentialMatrix(entries=np.array(entries)))
-
-
 @pytest.mark.parametrize("n_modes", [1, 2, 7, 8, 40, 41])
 def test_jacobi_orthonormal_in_odd_and_even_dimensions(n_modes):
     # dimension n_modes + 1: odd dimensions pair one column with a zero pad
@@ -110,7 +102,9 @@ def test_jacobi_orthonormal_in_odd_and_even_dimensions(n_modes):
 
 def test_jacobi_two_by_two_closed_form():
     a, b, c = 2.0, 5.0, 1.3
-    matrix = PotentialMatrix(entries=np.array([[a, c], [c, b]]))
+    factor = np.array([[math.sqrt(a), c / math.sqrt(a)],
+                       [0.0, math.sqrt(b - c**2 / a)]])
+    matrix = PotentialMatrix(entries=np.array([[a, c], [c, b]]), factor=factor)
     eigvals, vecs = eigen_decompose(matrix)
     mean = 0.5 * (a + b)
     half = 0.5 * math.hypot(a - b, 2.0 * c)
@@ -145,12 +139,17 @@ def test_jacobi_orthonormality_and_sign_convention():
     assert np.all(vecs[0, :] > 0.0)
 
 
+def _dense_modes(spec):
+    # frequencies and particle weights (t_0^r)**2 of the dense route
+    eigvals, vecs = eigen_decompose(build_potential_matrix(spec))
+    return np.sqrt(eigvals), vecs[0] ** 2
+
+
 def test_dense_mode_set_matches_secular_route():
-    dense = mode_set_from_dense(SPEC)
-    assert dense.source is ModeSource.DENSE_ORACLE
+    frequencies, weights = _dense_modes(SPEC)
     secular = solve_finite_spectrum(SPEC)
-    assert np.max(np.abs(dense.frequencies / secular.frequencies - 1.0)) < 1e-10
-    assert np.max(np.abs(dense.weights - secular.weights)) < 1e-10
+    assert np.max(np.abs(frequencies / secular.frequencies - 1.0)) < 1e-10
+    assert np.max(np.abs(weights - secular.weights)) < 1e-10
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -162,10 +161,10 @@ def test_dense_mode_set_matches_secular_route():
 def test_dense_route_matches_secular_route_everywhere(log_beta, log_delta, n_modes):
     spec = OhmicSystemSpec.from_dimensionless(10.0**log_beta, 10.0**log_delta,
                                               n_modes=n_modes)
-    dense = mode_set_from_dense(spec)
+    frequencies, weights = _dense_modes(spec)
     secular = solve_finite_spectrum(spec)
-    assert np.max(np.abs(dense.frequencies / secular.frequencies - 1.0)) <= 1e-13
-    assert np.max(np.abs(dense.weights - secular.weights)) <= 1e-12
+    assert np.max(np.abs(frequencies / secular.frequencies - 1.0)) <= 1e-13
+    assert np.max(np.abs(weights - secular.weights)) <= 1e-12
     ladder = derive_parameters(spec).delta_omega * np.arange(1, n_modes + 1)
     assert np.all(secular.frequencies[:-1] < ladder)
     assert np.all(ladder < secular.frequencies[1:])
@@ -198,17 +197,26 @@ def test_dense_lowest_mode_against_fifty_digits(beta):
         lowest = mp.sqrt(min(mp.eigsy(m, eigvals_only=True)))
         frozen = mp.mpf(LOWEST_50_DIGITS[beta])
         assert abs(lowest / frozen - 1) < mp.mpf("1e-45")
-    dense = mode_set_from_dense(spec).frequencies[0]
+    dense = _dense_modes(spec)[0][0]
     assert abs(dense / float(frozen) - 1.0) <= 1e-14
 
 
 def test_dense_route_mode_cap():
+    # both entry points refuse before the (N+1)**2 arrays exist
     big = OhmicSystemSpec(bar_omega=1.0, g=0.3, cavity_L=1.0, n_modes=401,
                           light_speed=1.0)
-    with pytest.raises(InputError):
-        mode_set_from_dense(big)
-    with pytest.raises(InputError):
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="capped at n_modes = 400"):
+            build_potential_matrix(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (N+1)**2 array at N = 401 would take 1.3 MB
+    assert peak < 2**20
+    with pytest.raises(InputError, match="capped at n_modes = 400"):
         cross_validate(big)
+    assert build_potential_matrix(replace(big, n_modes=400)).dim == 401
 
 
 def test_check_result_rejects_nan():

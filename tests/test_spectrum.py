@@ -22,7 +22,7 @@ from dressedbath import (
     cavity_smallness_factor,
     cot_series_closed_form,
     derive_parameters,
-    mode_set_from_dense,
+    eigen_decompose,
     series_identity_residual,
     solve_cavity_spectrum,
     solve_finite_spectrum,
@@ -162,9 +162,9 @@ def test_finite_spectrum_interlaces_and_sums_everywhere(log_beta, log_delta, n_m
     assert np.all(ladder < modes.frequencies[1:])
     assert abs(math.fsum(modes.weights) - 1.0) <= 1e-12
     if n_modes <= 60:
-        dense = mode_set_from_dense(spec)
-        assert np.max(np.abs(dense.frequencies / modes.frequencies - 1.0)) <= 1e-13
-        assert np.max(np.abs(dense.weights - modes.weights)) <= 1e-12
+        eigvals, vecs = eigen_decompose(build_potential_matrix(spec))
+        assert np.max(np.abs(np.sqrt(eigvals) / modes.frequencies - 1.0)) <= 1e-13
+        assert np.max(np.abs(vecs[0] ** 2 - modes.weights)) <= 1e-12
 
 
 def _count_kernel_evaluations(monkeypatch):

@@ -1,9 +1,10 @@
-"""The benchmark harness's tracer names layers that still exist, and the
-package's import stays light."""
+"""The benchmark harness's tracer names layers that still exist, every
+export list names something real, and the package's import stays light."""
 
 import importlib
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,22 @@ def test_traced_layers_resolve_in_the_package():
     for module, function in tracing.LAYERS:
         target = importlib.import_module(f"dressedbath.{module}")
         assert callable(getattr(target, function, None)), f"{module}.{function}"
+
+
+def test_export_lists_name_existing_attributes():
+    # a deleted function must leave no stale name in any __all__
+    import dressedbath
+
+    modules = [dressedbath] + [
+        importlib.import_module(f"dressedbath.{info.name}")
+        for info in pkgutil.iter_modules(dressedbath.__path__)
+        if info.name != "__main__"
+    ]
+    for module in modules:
+        exported = getattr(module, "__all__", ())
+        assert len(set(exported)) == len(exported), module.__name__
+        missing = [name for name in exported if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}: {missing}"
 
 
 def test_cli_import_pulls_in_no_process_pools():

@@ -9,13 +9,11 @@ import pytest
 from dressedbath import (
     DimensionMismatch,
     InputError,
-    ModeSource,
     OhmicSystemSpec,
     OverflowGuardError,
     ParameterError,
     approx_small_L_spectrum,
     derive_parameters,
-    dressed_from_normal,
     expansion_coefficient,
     finite_matrix,
     solve_cavity_spectrum,
@@ -61,32 +59,6 @@ def test_finite_matrix_requires_matching_mode_set():
     cavity = solve_cavity_spectrum(spec, k_max=4)
     with pytest.raises(InputError):
         finite_matrix(spec, cavity)
-
-
-def test_dressed_from_normal_energy_identity():
-    # exciting one normal mode puts w_mu * q_mu**2 summed over bare
-    # oscillators at exactly Omega_r
-    spec = OhmicSystemSpec(bar_omega=1.0, g=0.4, cavity_L=2.0, n_modes=6,
-                           light_speed=1.0)
-    modes = solve_finite_spectrum(spec)
-    tm = finite_matrix(spec, modes)
-    d = derive_parameters(spec)
-    bare = np.concatenate(([1.0], d.delta_omega * np.arange(1, 7)))
-    for r in (0, 3, 6):
-        q_normal = np.zeros(7)
-        q_normal[r] = 1.0
-        q_bare = dressed_from_normal(q_normal, tm, modes, spec)
-        assert np.sum(bare * q_bare**2) == pytest.approx(modes.frequencies[r],
-                                                         rel=1e-12)
-
-
-def test_dressed_from_normal_shape_guard():
-    spec = OhmicSystemSpec(bar_omega=1.0, g=0.4, cavity_L=2.0, n_modes=6,
-                           light_speed=1.0)
-    modes = solve_finite_spectrum(spec)
-    tm = finite_matrix(spec, modes)
-    with pytest.raises(DimensionMismatch):
-        dressed_from_normal(np.zeros(6), tm, modes, spec)
 
 
 # ---------------------------------------------------------------------------
