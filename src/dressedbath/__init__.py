@@ -3,15 +3,7 @@ particle coupled to an ohmic bath, in free space and inside a cavity."""
 
 __version__ = "0.1.0"
 
-from .errors import (
-    DimensionMismatch,
-    DressedBathError,
-    InputError,
-    NumericalFailure,
-    OverflowGuardError,
-    ParameterError,
-    SingularityError,
-)
+from .errors import DressedBathError, InputError, NumericalFailure
 from .model import (
     CRITICAL_TOLERANCE,
     LIGHT_SPEED_SI,
@@ -58,12 +50,8 @@ from .oracle import (
 __all__ = [
     "__version__",
     "DressedBathError",
-    "ParameterError",
     "InputError",
     "NumericalFailure",
-    "SingularityError",
-    "DimensionMismatch",
-    "OverflowGuardError",
     "LIGHT_SPEED_SI",
     "CRITICAL_TOLERANCE",
     "OhmicSystemSpec",

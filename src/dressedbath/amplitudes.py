@@ -45,7 +45,7 @@ from .errors import InputError, NumericalFailure
 from .model import OhmicSystemSpec, RegimeKind, classify_regime
 from .quadrature import adaptive_gk, principal_value, split_to_width
 from .special import ei_scaled, exp1_scaled
-from .spectrum import NormalModeSet
+from .spectrum import _WEIGHT_SUM_TOL, NormalModeSet
 
 __all__ = [
     "AmplitudeSeries",
@@ -227,10 +227,11 @@ def f00_discrete(modes: NormalModeSet, weights, times) -> AmplitudeSeries:
 
     ``weights`` is passed separately from the mode set so a deliberately
     perturbed weight row can be pushed through the same code path; they
-    must be positive and sum to at most 1 (+1e-8 slack); NaN is neither.
-    More than 2**27 modes x times raises InputError before any phase is
-    summed.  The sum runs on the CPUs the process may use, with no
-    setting, and its bytes do not depend on how many there are.
+    must be positive and sum to at most 1 (+1e-8 slack, as a mode set's
+    do); NaN is neither.  More than 2**27 modes x times raises InputError
+    before any phase is summed.  The sum runs on the CPUs the process may
+    use, with no setting, and its bytes do not depend on how many there
+    are.
     """
     t = _validate_times(times)
     w = np.asarray(weights, dtype=float)
@@ -238,7 +239,7 @@ def f00_discrete(modes: NormalModeSet, weights, times) -> AmplitudeSeries:
         raise InputError("need exactly one weight per mode")
     if not np.all(w > 0.0):
         raise InputError("weights must be positive")
-    if w.sum() > 1.0 + 1e-8:
+    if w.sum() > 1.0 + _WEIGHT_SUM_TOL:
         raise InputError("weights must sum to at most 1")
     return AmplitudeSeries(
         times=t,
@@ -638,11 +639,12 @@ def cavity_survival_series(weights, frequencies, times) -> np.ndarray:
 
     ``weights`` is the pair (w0, ladder_weights); ``frequencies`` holds
     the matching 1 + k_max mode frequencies, finite, positive and strictly
-    increasing; weights must be positive (NaN is not).  Evaluated directly
-    as a squared modulus, O(k_max) per time point; more than 2**27 modes x
-    times raises InputError before any phase is summed.  The sum runs on
-    the CPUs the process may use, with no setting, and its bytes do not
-    depend on how many there are.
+    increasing; weights must be positive (NaN is not) and sum to at most
+    1 (+1e-8 slack), as a mode set's do.  Evaluated directly as a squared
+    modulus, O(k_max) per time point; more than 2**27 modes x times raises
+    InputError before any phase is summed.  The sum runs on the CPUs the
+    process may use, with no setting, and its bytes do not depend on how
+    many there are.
     """
     try:
         w0, wk = weights
@@ -655,13 +657,16 @@ def cavity_survival_series(weights, frequencies, times) -> np.ndarray:
         raise InputError("need one frequency for w0 plus one per ladder weight")
     if not (w0 > 0.0 and np.all(wk > 0.0)):
         raise InputError("weights must be positive")
+    w = np.concatenate(([w0], wk))
+    if w.sum() > 1.0 + _WEIGHT_SUM_TOL:
+        raise InputError("weights must sum to at most 1")
     if not (np.all(np.isfinite(freq)) and freq[0] > 0.0
             and np.all(np.diff(freq) > 0.0)):
         raise InputError(
             "frequencies must be finite, positive and strictly increasing"
         )
     t = _validate_times(times)
-    return np.abs(_phase_sums(freq, np.concatenate(([w0], wk)), t)) ** 2
+    return np.abs(_phase_sums(freq, w, t)) ** 2
 
 
 def cavity_min_bound(delta: float, regime: str) -> CavitySurvivalBound:

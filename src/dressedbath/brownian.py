@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import AmplitudeSeries, _validate_times, f00_closed
-from .errors import DimensionMismatch, InputError
+from .errors import InputError
 from .model import OhmicSystemSpec
 
 __all__ = ["CoherentPreparation", "classical_path", "path_closed_forms"]
@@ -62,7 +62,7 @@ def classical_path(
     if f00_source.spec_snapshot != spec:
         raise InputError("amplitude series was computed for a different spec")
     if not np.array_equal(t, f00_source.times):
-        raise DimensionMismatch("amplitude series grid does not match the times")
+        raise InputError("amplitude series grid does not match the times")
     phase = np.exp(-1j * prep.theta)
     return _scale(spec, prep) * np.real(phase * f00_source.values)
 

@@ -4,8 +4,10 @@ Subcommands ``spectrum | decay | brownian | cavity | validate`` wrap the
 library modules and emit CSV with a ``#``-prefixed metadata header, 17
 significant digits throughout so every float round-trips exactly.  Exit
 codes: 0 success, 1 input error, 2 numerical failure, 3 validation
-failure.  Errors and warnings reach stderr as single ``error: ...`` and
-``warning: ...`` lines.
+failure.  Each command returns its text and exit code, and ``main`` alone
+writes the text and turns ``InputError`` and ``NumericalFailure`` into
+exit codes 1 and 2.  Errors and warnings reach stderr as single
+``error: ...``, ``numerical failure: ...`` and ``warning: ...`` lines.
 
 Config files are flat UTF-8 ``key=value`` lines with ``#`` comments;
 command-line flags override file values, and both are checked by the same
@@ -28,22 +30,22 @@ from . import amplitudes as _amp
 from . import brownian as _brownian
 from . import oracle as _oracle
 from . import spectrum as _spectrum
-from .errors import DimensionMismatch, DressedBathError, InputError, ParameterError
-from .model import LIGHT_SPEED_SI, OhmicSystemSpec, classify_regime, derive_parameters
-
-_FLOAT_KEYS = frozenset(
-    {"bar_omega", "g", "beta", "cavity_L", "delta", "light_speed", "hbar",
-     "t_max", "n_bar", "theta"}
+from .errors import DressedBathError, InputError
+from .model import (
+    LIGHT_SPEED_SI, OhmicSystemSpec, _spec_text, classify_regime, derive_parameters,
 )
-_INT_KEYS = frozenset({"n_modes", "samples", "k_max"})
-_CHOICE_KEYS = {
-    "route": ("finite-n", "cavity", "small-l"),
-    "method": ("discrete", "closed", "quadrature"),
-    "regime": ("weak", "strong"),
-    "eq11_variant": ("paper", "rederived"),
-    "out": None,
+
+# every config key, in the order the flags are listed: a number, an
+# integer, a free string or one of a tuple of choices
+_KEYS = {
+    "bar_omega": float, "beta": float, "cavity_L": float, "delta": float,
+    "eq11_variant": ("paper", "rederived"), "g": float, "hbar": float,
+    "k_max": int, "light_speed": float,
+    "method": ("discrete", "closed", "quadrature"), "n_bar": float,
+    "n_modes": int, "out": str, "regime": ("weak", "strong"),
+    "route": ("finite-n", "cavity", "small-l"), "samples": int,
+    "t_max": float, "theta": float,
 }
-_ALL_KEYS = tuple(sorted(_FLOAT_KEYS | _INT_KEYS | set(_CHOICE_KEYS)))
 # f00_closed on 10**6 times takes about 1 s and a 0.37 GB tracemalloc peak
 _MAX_SAMPLES = 1_000_000
 
@@ -53,7 +55,10 @@ _MAX_SAMPLES = 1_000_000
 # ---------------------------------------------------------------------------
 
 def _coerce(key: str, raw: str):
-    if key in _FLOAT_KEYS:
+    kind = _KEYS.get(key)
+    if kind is None:
+        raise InputError(f"unknown config key: {key}")
+    if kind is float:
         try:
             value = float(raw)
         except ValueError:
@@ -61,19 +66,14 @@ def _coerce(key: str, raw: str):
         if not math.isfinite(value):
             raise InputError(f"key {key} must be finite, got {raw!r}")
         return value
-    if key in _INT_KEYS:
+    if kind is int:
         try:
             return int(raw)
         except ValueError:
             raise InputError(f"key {key} expects an integer, got {raw!r}") from None
-    if key in _CHOICE_KEYS:
-        choices = _CHOICE_KEYS[key]
-        if choices is not None and raw not in choices:
-            raise InputError(
-                f"key {key} must be one of {', '.join(choices)}; got {raw!r}"
-            )
-        return raw
-    raise InputError(f"unknown config key: {key}")
+    if kind is not str and raw not in kind:
+        raise InputError(f"key {key} must be one of {', '.join(kind)}; got {raw!r}")
+    return raw
 
 
 def load_config(path: str) -> dict:
@@ -97,7 +97,7 @@ def load_config(path: str) -> dict:
 def resolve_config(args: argparse.Namespace) -> dict:
     """File config overlaid with any explicitly given flags."""
     cfg = load_config(args.config) if args.config else {}
-    for key in _ALL_KEYS:
+    for key in _KEYS:
         raw = getattr(args, key)
         if raw is not None:
             cfg[key] = _coerce(key, raw)
@@ -160,42 +160,31 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _metadata(command: str, spec: OhmicSystemSpec, extras) -> list:
+def _csv(command: str, spec: OhmicSystemSpec, extras, columns: dict) -> str:
+    """Metadata header, then one row per entry of the named ``columns``."""
     d = derive_parameters(spec)
-    regime = classify_regime(spec)
     lines = [
         f"# dressedbath {__version__}",
         f"# command: {command}",
-        "# spec: "
-        f"bar_omega={spec.bar_omega:.17g} g={spec.g:.17g} "
-        f"cavity_L={spec.cavity_L:.17g} n_modes={spec.n_modes} "
-        f"light_speed={spec.light_speed:.17g} hbar={spec.hbar:.17g}",
+        f"# spec: {_spec_text(spec)}",
         f"# derived: beta={d.beta:.17g} delta={d.delta:.17g} "
-        f"regime={regime.kind.value}",
+        f"regime={classify_regime(spec).kind.value}",
+        *(f"# {key}: {value}" for key, value in extras),
+        f"# columns: {','.join(columns)}",
+        *(",".join(map(_fmt, row)) for row in zip(*columns.values())),
     ]
-    lines.extend(f"# {key}: {value}" for key, value in extras)
-    return lines
+    return "\n".join(lines) + "\n"
 
 
-def _document(meta_lines, rows) -> str:
-    body = [",".join(_fmt(value) for value in row) for row in rows]
-    return "\n".join(meta_lines + body) + "\n"
-
-
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _grid(times: np.ndarray):
+    return ("grid", f"t_max={times[-1]:.17g} samples={times.size}")
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the resolved config and returns (text, exit code)
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_spectrum(cfg: dict) -> tuple[str, int]:
     spec = build_spec(cfg)
     route = cfg.get("route", "finite-n")
     k_max = cfg.get("k_max", 100)
@@ -210,34 +199,24 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         regime = cfg.get("regime", "weak")
         modes = _spectrum.approx_small_L_spectrum(spec, k_max=k_max, regime=regime)
         extras += [("k_max", k_max), ("regime", regime)]
-    extras.append(("columns", "r,omega,weight"))
-    rows = [(r, modes.frequencies[r], modes.weights[r])
-            for r in range(modes.n_modes_total)]
-    _emit(_document(_metadata("spectrum", spec, extras), rows), cfg.get("out"))
-    return 0
+    columns = {"r": range(modes.n_modes_total), "omega": modes.frequencies,
+               "weight": modes.weights}
+    return _csv("spectrum", spec, extras, columns), 0
 
 
-def cmd_decay(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_decay(cfg: dict) -> tuple[str, int]:
     spec = build_spec(cfg)
     method = cfg.get("method", "closed")
     times = _time_grid(cfg, spec)
     values = _amplitude(method, spec, times).values
-    extras = [
-        ("method", method),
-        ("grid", f"t_max={times[-1]:.17g} samples={times.size}"),
-        ("columns", "t,re_f00,im_f00,prob"),
-    ]
-    rows = [
-        (t, v.real, v.imag, v.real**2 + v.imag**2)
-        for t, v in zip(times, values)
-    ]
-    _emit(_document(_metadata("decay", spec, extras), rows), cfg.get("out"))
-    return 0
+    # prob squares each value on its own: the array expression can differ
+    # in the last digit
+    columns = {"t": times, "re_f00": values.real, "im_f00": values.imag,
+               "prob": [v.real**2 + v.imag**2 for v in values]}
+    return _csv("decay", spec, [("method", method), _grid(times)], columns), 0
 
 
-def cmd_brownian(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_brownian(cfg: dict) -> tuple[str, int]:
     spec = build_spec(cfg)
     prep = _brownian.CoherentPreparation(
         n_bar=cfg.get("n_bar", 1.0), theta=cfg.get("theta", 0.0)
@@ -249,16 +228,12 @@ def cmd_brownian(args: argparse.Namespace) -> int:
     extras = [
         ("method", method),
         ("preparation", f"n_bar={prep.n_bar:.17g} theta={prep.theta:.17g}"),
-        ("grid", f"t_max={times[-1]:.17g} samples={times.size}"),
-        ("columns", "t,position"),
+        _grid(times),
     ]
-    rows = list(zip(times, positions))
-    _emit(_document(_metadata("brownian", spec, extras), rows), cfg.get("out"))
-    return 0
+    return _csv("brownian", spec, extras, {"t": times, "position": positions}), 0
 
 
-def cmd_cavity(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_cavity(cfg: dict) -> tuple[str, int]:
     spec = build_spec(cfg)
     regime = cfg.get("regime", "weak")
     variant = cfg.get("eq11_variant", "rederived")
@@ -274,7 +249,7 @@ def cmd_cavity(args: argparse.Namespace) -> int:
         ("regime", regime),
         ("k_max", k_max),
         ("eq11_variant", variant),
-        ("grid", f"t_max={times[-1]:.17g} samples={times.size}"),
+        _grid(times),
         ("summary", f"grid_min={curve.min():.17g}"),
         ("summary", f"analytic_min_bound={bound.min_probability:.17g}"),
     ]
@@ -287,14 +262,10 @@ def cmd_cavity(args: argparse.Namespace) -> int:
         ]
         if d.delta > delta_max:
             extras.append(("summary", "unphysical: exceeds delta_max"))
-    extras.append(("columns", "t,prob"))
-    rows = list(zip(times, curve))
-    _emit(_document(_metadata("cavity", spec, extras), rows), cfg.get("out"))
-    return 0
+    return _csv("cavity", spec, extras, {"t": times, "prob": curve}), 0
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_validate(cfg: dict) -> tuple[str, int]:
     cfg.setdefault("bar_omega", 1.0)
     if "g" not in cfg and "beta" not in cfg:
         cfg["beta"] = 0.3
@@ -302,10 +273,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         cfg["delta"] = 0.05
     cfg.setdefault("n_modes", 8)
     cfg.setdefault("light_speed", 1.0)
-    spec = build_spec(cfg)
-    report = _oracle.cross_validate(spec)
-    _emit(report.to_text(), cfg.get("out"))
-    return 0 if report.all_passed else 3
+    report = _oracle.cross_validate(build_spec(cfg))
+    return report.to_text(), 0 if report.all_passed else 3
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +284,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key=value config file")
-    for key in _ALL_KEYS:
+    for key, kind in _KEYS.items():
         # values stay strings here: resolve_config coerces them like file values
-        common.add_argument(
-            "--" + key.replace("_", "-"), dest=key, choices=_CHOICE_KEYS.get(key)
-        )
+        common.add_argument("--" + key.replace("_", "-"), dest=key,
+                            choices=kind if isinstance(kind, tuple) else None)
     return common
 
 
@@ -352,6 +320,8 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None) -> int:
+    """Run one command: the only place that writes its output (to --out or
+    stdout) and maps its errors to exit codes 1 (input) and 2 (numerical)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -360,13 +330,20 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
         try:
-            return args.func(args)
-        except (InputError, ParameterError, DimensionMismatch) as exc:
+            cfg = resolve_config(args)
+            text, code = args.func(cfg)
+        except InputError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         except DressedBathError as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return 2
+    if cfg.get("out"):
+        with open(cfg["out"], "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,45 +1,25 @@
 """Exception hierarchy shared by every module in the package.
 
 All failures raised by this package derive from :class:`DressedBathError`,
-so callers can catch a single base class at API boundaries.  The leaf
-classes distinguish *why* a computation refused to proceed, which the
-command line tool maps onto distinct exit codes.
+so callers can catch a single base class at API boundaries.  There are two
+kinds, one per command-line exit code: :class:`InputError` (exit 1) for an
+input the computation refuses, and :class:`NumericalFailure` (exit 2) for
+a computation that could not finish on an admissible input.
 """
 
-__all__ = [
-    "DressedBathError",
-    "ParameterError",
-    "InputError",
-    "NumericalFailure",
-    "SingularityError",
-    "DimensionMismatch",
-    "OverflowGuardError",
-]
+__all__ = ["DressedBathError", "InputError", "NumericalFailure"]
 
 
 class DressedBathError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ParameterError(DressedBathError, ValueError):
-    """A physical parameter is out of its admissible range."""
-
-
 class InputError(DressedBathError, ValueError):
-    """Malformed user input: config files, CLI values, array shapes."""
+    """Malformed or out-of-range input: physical parameters, config files,
+    CLI values, array shapes and mode counts that disagree."""
 
 
 class NumericalFailure(DressedBathError, ArithmeticError):
-    """An iterative scheme failed to converge to its stated tolerance."""
-
-
-class SingularityError(DressedBathError, ZeroDivisionError):
-    """Evaluation was requested exactly at a pole or branch point."""
-
-
-class DimensionMismatch(DressedBathError, ValueError):
-    """Arrays describing the same mode set disagree about the mode count."""
-
-
-class OverflowGuardError(DressedBathError, OverflowError):
-    """A closed-form expression would overflow double precision."""
+    """A computation could not finish: an iterative scheme missed its
+    tolerance, an evaluation sat exactly on a pole, or a closed form would
+    overflow double precision."""

@@ -16,10 +16,10 @@ values can be shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
-from .errors import ParameterError
+from .errors import InputError
 
 __all__ = [
     "LIGHT_SPEED_SI",
@@ -41,9 +41,9 @@ CRITICAL_TOLERANCE = 1e-9
 
 def _require_positive(name: str, value: float) -> None:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParameterError(f"{name} must be a real number, got {value!r}")
+        raise InputError(f"{name} must be a real number, got {value!r}")
     if not math.isfinite(value) or value <= 0:
-        raise ParameterError(f"{name} must be positive and finite, got {value!r}")
+        raise InputError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,9 @@ class OhmicSystemSpec:
         _require_positive("light_speed", self.light_speed)
         _require_positive("hbar", self.hbar)
         if isinstance(self.n_modes, bool) or not isinstance(self.n_modes, int):
-            raise ParameterError(f"n_modes must be an integer, got {self.n_modes!r}")
+            raise InputError(f"n_modes must be an integer, got {self.n_modes!r}")
         if self.n_modes < 1:
-            raise ParameterError(f"n_modes must be >= 1, got {self.n_modes}")
+            raise InputError(f"n_modes must be >= 1, got {self.n_modes}")
 
     @classmethod
     def from_dimensionless(
@@ -113,6 +113,12 @@ class OhmicSystemSpec:
             light_speed=light_speed,
             hbar=hbar,
         )
+
+
+def _spec_text(spec: OhmicSystemSpec) -> str:
+    # every field as name=value at 17 significant digits, so each
+    # round-trips: the CLI's "# spec:" line and the validation report
+    return " ".join(f"{f.name}={getattr(spec, f.name):.17g}" for f in fields(spec))
 
 
 @dataclass(frozen=True)

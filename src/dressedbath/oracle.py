@@ -32,7 +32,7 @@ from . import amplitudes as _amp
 from . import spectrum as _spectrum
 from . import transform as _transform
 from .errors import DressedBathError, InputError, NumericalFailure
-from .model import LIGHT_SPEED_SI, OhmicSystemSpec, derive_parameters
+from .model import LIGHT_SPEED_SI, OhmicSystemSpec, _spec_text, derive_parameters
 
 __all__ = [
     "PotentialMatrix",
@@ -230,16 +230,7 @@ class ValidationReport:
         return all(check.passed for check in self.checks)
 
     def to_text(self) -> str:
-        lines = ["validation report"]
-        lines.append(
-            "spec: "
-            + " ".join(
-                f"{name}={getattr(self.spec, name):.17g}"
-                for name in (
-                    "bar_omega", "g", "cavity_L", "n_modes", "light_speed", "hbar",
-                )
-            )
-        )
+        lines = ["validation report", f"spec: {_spec_text(self.spec)}"]
         for check in self.checks:
             status = "pass" if check.passed else "FAIL"
             lines.append(

@@ -52,13 +52,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InputError,
-    NumericalFailure,
-    ParameterError,
-    SingularityError,
-)
+from .errors import InputError, NumericalFailure
 from .model import DerivedParams, OhmicSystemSpec, derive_parameters
 from .special import psi, psi1
 
@@ -112,9 +106,7 @@ class NormalModeSet:
         if freq.ndim != 1 or wts.ndim != 1:
             raise InputError("frequencies and weights must be 1d arrays")
         if freq.size != wts.size:
-            raise DimensionMismatch(
-                f"{freq.size} frequencies vs {wts.size} weights"
-            )
+            raise InputError(f"{freq.size} frequencies vs {wts.size} weights")
         if freq.size == 0:
             raise InputError("a mode set needs at least one mode")
         if not np.all(np.isfinite(freq)) or not np.all(np.isfinite(wts)):
@@ -519,17 +511,17 @@ def approx_small_L_spectrum(
         )
     rho = spec.bar_omega / d.delta_omega
     if rho >= 1.0:
-        raise ParameterError(
+        raise InputError(
             "small-cavity ladder needs the mode spacing 2*pi*c/L to exceed "
             f"bar_omega (got ratio {rho:.6g} >= 1)"
         )
     k = np.arange(1, k_max + 1, dtype=float)
     gap = k**2 - rho**2
     if np.any(np.abs(gap) <= 1e-12 * k**2):
-        raise SingularityError("a ladder mode sits exactly on the particle resonance")
+        raise NumericalFailure("a ladder mode sits exactly on the particle resonance")
     eps = (d.delta / math.pi) * k / gap
     if np.any(eps <= 0.0) or np.any(eps >= 1.0):
-        raise ParameterError("mode displacements left (0, 1); delta is too large")
+        raise InputError("mode displacements left (0, 1); delta is too large")
     if d.delta > 0.05:
         warnings.warn(
             f"delta = {d.delta:.6g} > 0.05: first-order cavity weights are "
@@ -537,7 +529,7 @@ def approx_small_L_spectrum(
             stacklevel=2,
         )
     if math.pi * d.delta >= 1.0:
-        raise ParameterError(
+        raise InputError(
             "first-order cavity weights need pi*delta < 1 "
             f"(got pi*delta = {math.pi * d.delta:.6g})"
         )
@@ -573,7 +565,7 @@ def cot_series_closed_form(u: float) -> float:
         raise InputError("u must be finite")
     nearest = round(u)
     if nearest != 0 and abs(u - nearest) < 1e-12:
-        raise SingularityError(f"u = {u!r} sits on a pole of the series")
+        raise NumericalFailure(f"u = {u!r} sits on a pole of the series")
     s = math.pi * abs(u)
     if s < 1e-9:
         # the u**2 term, (pi**4/90)*u**2, is below rounding of pi**2/6

@@ -24,13 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InputError,
-    NumericalFailure,
-    OverflowGuardError,
-    SingularityError,
-)
+from .errors import InputError, NumericalFailure
 from .model import OhmicSystemSpec, derive_parameters
 from .spectrum import ModeSource, NormalModeSet
 
@@ -79,9 +73,9 @@ def finite_matrix(spec: OhmicSystemSpec, modes: NormalModeSet) -> TransformMatri
     """Full bare-to-normal transform of the finite-N problem.
 
     Requires a finite-N mode set holding all N+1 frequencies.  Raises
-    SingularityError if a normal mode collides with a bath frequency (the
-    column formula divides by the gap) and NumericalFailure if the built
-    matrix misses orthonormality by more than 1e-8.  Memory is O(N**2), so
+    NumericalFailure if a normal mode collides with a bath frequency (the
+    column formula divides by the gap) or if the built matrix misses
+    orthonormality by more than 1e-8.  Memory is O(N**2), so
     n_modes above 5000 raises InputError before anything is allocated.
     """
     if modes.source is not ModeSource.FINITE_N:
@@ -93,7 +87,7 @@ def finite_matrix(spec: OhmicSystemSpec, modes: NormalModeSet) -> TransformMatri
             f"(O(N**2) memory), got {n}"
         )
     if modes.n_modes_total != n + 1:
-        raise DimensionMismatch(
+        raise InputError(
             f"expected {n + 1} modes for n_modes={n}, got {modes.n_modes_total}"
         )
     d = derive_parameters(spec)
@@ -102,7 +96,7 @@ def finite_matrix(spec: OhmicSystemSpec, modes: NormalModeSet) -> TransformMatri
     lam = modes.frequencies**2
     gap = omega_k[:, None] ** 2 - lam[None, :]
     if np.any(np.abs(gap) < 1e-12 * omega_k[:, None] ** 2):
-        raise SingularityError("a normal mode coincides with a bath frequency")
+        raise NumericalFailure("a normal mode coincides with a bath frequency")
     t0 = 1.0 / np.sqrt(1.0 + np.sum((c_k[:, None] / gap) ** 2, axis=0))
     t = np.empty((n + 1, n + 1))
     t[0, :] = t0
@@ -129,7 +123,7 @@ def expansion_coefficient(n0_prime: int, occupations, t0_row) -> ExpansionCoeffi
     if not isinstance(n0_prime, int) or n0_prime < 0:
         raise InputError(f"n0_prime must be a nonnegative integer, got {n0_prime!r}")
     if n0_prime > _MAX_PARTICLE_LEVEL:
-        raise OverflowGuardError(
+        raise NumericalFailure(
             f"particle level {n0_prime} exceeds the factorial guard "
             f"({_MAX_PARTICLE_LEVEL})"
         )
@@ -138,7 +132,7 @@ def expansion_coefficient(n0_prime: int, occupations, t0_row) -> ExpansionCoeffi
         raise InputError("occupations must be nonnegative integers")
     row = np.asarray(t0_row, dtype=float)
     if row.ndim != 1 or len(occ) > row.size:
-        raise DimensionMismatch("need one particle-row entry per occupation")
+        raise InputError("need one particle-row entry per occupation")
     if np.any(row < 0.0):
         raise InputError("particle-row entries must be sign-fixed nonnegative")
     if sum(occ) != n0_prime:
@@ -153,7 +147,7 @@ def expansion_coefficient(n0_prime: int, occupations, t0_row) -> ExpansionCoeffi
     if log_mag <= -_LOG_LINEAR_LIMIT:
         return ExpansionCoefficient(0.0, n0_prime, occ)
     if log_mag >= _LOG_LINEAR_LIMIT:
-        raise OverflowGuardError("expansion coefficient left the linear-scale window")
+        raise NumericalFailure("expansion coefficient left the linear-scale window")
     multinomial = math.factorial(n0_prime)
     for n_r in occ:
         multinomial //= math.factorial(n_r)

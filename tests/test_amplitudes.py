@@ -33,7 +33,7 @@ from dressedbath import (
     solve_finite_spectrum,
     survival_probability,
 )
-from dressedbath import amplitudes
+from dressedbath import amplitudes, spectrum
 from dressedbath.special import ei_scaled, exp1_scaled
 
 ANY_SPEC = OhmicSystemSpec(bar_omega=1.0, g=0.1, cavity_L=1.0, light_speed=1.0)
@@ -554,6 +554,24 @@ def test_cavity_survival_series_refuses_bad_inputs(monkeypatch, w0, freqs):
     with pytest.raises(InputError):
         cavity_survival_series((w0, np.array([0.04, 0.03])), np.array(freqs),
                                [0.0, 1.0])
+
+
+def test_mode_sums_refuse_weights_over_the_mode_sets_slack(monkeypatch):
+    # (0.9, 0.5) would give cavity survival probabilities up to 1.96; both
+    # mode sums allow the slack a NormalModeSet allows, and no more
+    tol = spectrum._WEIGHT_SUM_TOL
+    freqs, times = np.array([1.0, 2.0]), [0.0, 1.0]
+    modes = NormalModeSet(frequencies=freqs, weights=np.array([0.6, 0.4]),
+                          source=ModeSource.FINITE_N, spec_snapshot=ANY_SPEC)
+    within = np.array([0.5, 0.5 + tol / 2])
+    assert cavity_survival_series((within[0], within[1:]), freqs, times).shape == (2,)
+    assert f00_discrete(modes, within, times).values.shape == (2,)
+    monkeypatch.setattr(amplitudes, "_phase_sums", _no_phase_sums)
+    for weights in ((0.9, np.array([0.5])), (0.5, np.array([0.5 + 2 * tol]))):
+        with pytest.raises(InputError, match="sum to at most 1"):
+            cavity_survival_series(weights, freqs, times)
+        with pytest.raises(InputError, match="sum to at most 1"):
+            f00_discrete(modes, np.concatenate(([weights[0]], weights[1])), times)
 
 
 def test_cavity_min_bound_frozen_values():

@@ -1,9 +1,11 @@
 """Command-line behavior: configs, output format, exit codes, determinism."""
 
 import math
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +17,9 @@ from dressedbath import (
     cli,
     solve_finite_spectrum,
 )
-from dressedbath.errors import OverflowGuardError, SingularityError
 from dressedbath.cli import main
 
+ROOT = Path(__file__).resolve().parents[1]
 WEAK_BETA = repr(1.0 / 137)
 
 
@@ -426,17 +428,36 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
     assert err.startswith("numerical failure:")
 
 
-@pytest.mark.parametrize("error", [SingularityError, OverflowGuardError])
-def test_other_package_errors_exit_2(monkeypatch, capsys, error):
-    # every package error outside the input classes is a numerical failure
-    def explode(args):
-        raise error("synthetic blowup")
-
-    monkeypatch.setattr(cli, "cmd_decay", explode)
-    rc, out, err = run_cli(capsys, "decay", "--bar-omega", "1.0", "--beta", "0.3",
-                           "--cavity-L", "1.0")
+def test_resonant_ladder_mode_is_a_numerical_failure(capsys):
+    # L = 2*pi*c/bar_omega puts ladder mode 1 exactly on the particle
+    # frequency, where the first-order weights have a pole
+    rc, out, err = run_cli(capsys, "spectrum", "--route", "small-l",
+                           "--bar-omega", "1", "--g", "1e-3",
+                           "--cavity-L", "6.283185307178957",
+                           "--light-speed", "1", "--k-max", "3")
     assert rc == 2 and out == ""
-    assert err == "numerical failure: synthetic blowup\n"
+    warning, failure = err.splitlines()
+    assert warning.startswith("warning: ")
+    assert failure == ("numerical failure: a ladder mode sits exactly on the "
+                       "particle resonance")
+
+
+def _readme_commands():
+    # the fenced block under README's "Command line" heading
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("dressedbath ")]
+    assert commands, "README lists no dressedbath commands"
+    return commands
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_commands_run(tmp_path, capsys, argv):
+    target = tmp_path / "out.txt"
+    rc, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert (rc, out, err) == (0, "", "")
+    assert target.read_text(encoding="utf-8")
 
 
 def test_grid_guards(capsys):

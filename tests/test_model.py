@@ -5,8 +5,8 @@ import pytest
 from dressedbath import (
     CRITICAL_TOLERANCE,
     LIGHT_SPEED_SI,
+    InputError,
     OhmicSystemSpec,
-    ParameterError,
     RegimeKind,
     classify_regime,
     derive_parameters,
@@ -51,21 +51,21 @@ def test_default_light_speed_is_si():
 def test_invalid_parameters_name_the_field(field, value):
     kwargs = dict(bar_omega=1.0, g=0.1, cavity_L=1.0)
     kwargs[field] = value
-    with pytest.raises(ParameterError, match=field):
+    with pytest.raises(InputError, match=field):
         OhmicSystemSpec(**kwargs)
 
 
 def test_n_modes_must_be_a_true_integer():
-    with pytest.raises(ParameterError):
+    with pytest.raises(InputError):
         OhmicSystemSpec(bar_omega=1.0, g=0.1, cavity_L=1.0, n_modes=0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(InputError):
         OhmicSystemSpec(bar_omega=1.0, g=0.1, cavity_L=1.0, n_modes=True)
-    with pytest.raises(ParameterError):
+    with pytest.raises(InputError):
         OhmicSystemSpec(bar_omega=1.0, g=0.1, cavity_L=1.0, n_modes=2.0)
 
 
 def test_bool_rejected_for_float_fields():
-    with pytest.raises(ParameterError):
+    with pytest.raises(InputError):
         OhmicSystemSpec(bar_omega=True, g=0.1, cavity_L=1.0)
 
 
