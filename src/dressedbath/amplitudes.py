@@ -21,10 +21,11 @@ The branch-cut piece
                                             - (pi*g*y)**2] dy
 
 has closed forms in scaled exponential integrals in all three damping
-regimes (the overdamped denominator has real roots, so its frequency-domain
-reading is a principal value; the exponential-integral forms carry that
-sense automatically).  ``bath_integral_J`` exposes them plus a direct
-quadrature cross-check that handles the poles explicitly.
+regimes.  Where the denominator has real roots it is read as a principal
+value at a simple root (overdamped) and as a finite part at the double root
+(critical); the exponential-integral forms carry that sense.
+``bath_integral_J`` exposes them, and audits them by one quadrature of the
+definition along a path that dips below the real roots.
 
 The cavity helpers at the bottom quantify confinement: the survival series
 over the discrete cavity ladder, its worst-case lower bound in delta, and
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import InputError, NumericalFailure
 from .model import OhmicSystemSpec, RegimeKind, classify_regime
-from .quadrature import adaptive_gk, principal_value, split_to_width
+from .quadrature import adaptive_gk, split_to_width
 from .special import ei_scaled, exp1_scaled
 from .spectrum import _WEIGHT_SUM_TOL, NormalModeSet
 
@@ -474,92 +475,50 @@ def _closed_form(spec: OhmicSystemSpec, t: np.ndarray):
 
 
 def _j_quadrature(spec: OhmicSystemSpec, t: float) -> float:
+    # J's definition, 2g y**2 e^{-yt} / ((y-p)(y+p)(y-q)(y+q)), integrated
+    # along the real axis; over the real roots the path dips below on half
+    # circles, which add i*pi times real residues, so the real part is the
+    # principal value at a simple root and the finite part at the double one
     g = spec.g
-    bar_sq = spec.bar_omega**2
-    a = 0.5 * math.pi * spec.g
+    a = 0.5 * math.pi * g
     regime = classify_regime(spec)
-    y_top = max(4.0 * a, 4.0 * spec.bar_omega, 60.0 / t)
-    tol = 1e-10 * max(1.0, 2.0 * g / spec.bar_omega)
-
+    kappa = regime.kappa_abs
     if regime.kind is RegimeKind.UNDERDAMPED:
-        k_sq = regime.kappa_abs**2
+        p, q = complex(a, kappa), complex(a, -kappa)
+    elif regime.kind is RegimeKind.CRITICAL:
+        p = q = a
+    else:
+        q = a + kappa
+        p = spec.bar_omega**2 / q  # equals a - kappa without cancellation
+    # real roots within a/4 of a share one half circle of radius a/2; with
+    # a small circle each, the integrand on the axis between them would
+    # reach O(1/kappa**2) and cancel to O(1)
+    if regime.kind is RegimeKind.UNDERDAMPED:
+        centers = radii = np.empty(0)
+    elif kappa < 0.25 * a:
+        centers, radii = np.array([a]), np.array([0.5 * a])
+    else:
+        centers, radii = np.array([p, q]), np.full(2, 0.5 * min(p, kappa))
 
-        def under(y):
-            return (
-                2.0 * g * y * y * np.exp(-y * t)
-                / (((y - a) ** 2 + k_sq) * ((y + a) ** 2 + k_sq))
-            )
+    def integrand(s):
+        # on [c - r, c + r] the path is y = c - r e^{i phi}, phi from 0 to pi
+        d = s[:, None] - centers
+        bend = np.abs(d) < radii
+        turn = np.exp(0.5j * math.pi * (d / radii + 1.0))
+        y = s + np.sum(np.where(bend, -d - radii * turn, 0.0), axis=1)
+        dy = 1.0 + np.sum(np.where(bend, -0.5j * math.pi * turn - 1.0, 0.0), axis=1)
+        return 2.0 * g * y * y * np.exp(-y * t) * dy / ((y - p) * (y + p) * (y - q) * (y + q))
 
-        edges = np.unique(np.clip(
-            [0.0, 0.5 * a, a, 2.0 * a, 0.5 * spec.bar_omega, spec.bar_omega,
-             min(4.0 / t, y_top), y_top], 0.0, y_top))
-        val, _ = adaptive_gk(under, edges, tol)
-        return float(val)
-
-    if regime.kind is RegimeKind.CRITICAL:
-        # split off the non-integrable pole pieces of
-        # y**2/((y-a)**2 (y+a)**2) and integrate them in closed form; the
-        # smooth remainder involves only (y + a) factors.
-        def remainder(y):
-            return (
-                2.0 * g * np.exp(-y * t)
-                * (-1.0 / (4.0 * a * (y + a)) + 1.0 / (4.0 * (y + a) ** 2))
-            )
-
-        edges = np.unique(np.clip([0.0, 0.5 * a, a, 2.0 * a,
-                                   min(4.0 / t, y_top), y_top], 0.0, y_top))
-        smooth, _ = adaptive_gk(remainder, edges, tol)
-        # tail of the remainder beyond y_top is below e^{-60}; the pole
-        # pieces are integrated over all of [0, inf):
-        #   PV int e^{-yt}/(y-a)   = -ei_scaled(a t)
-        #   FP int e^{-yt}/(y-a)**2 = t*ei_scaled(a t) - 1/a
-        f_term = ei_scaled(a * t)
-        pole_part = 2.0 * g * (
-            (1.0 / (4.0 * a)) * (-f_term) + 0.25 * (t * f_term - 1.0 / a)
-        )
-        return float(smooth + pole_part)
-
-    kabs = regime.kappa_abs
-    y_fast = a + kabs
-    y_slow = bar_sq / y_fast
-    half = 0.5 * min(y_slow, kabs)
-
-    def full(y):
-        return (
-            2.0 * g * y * y * np.exp(-y * t)
-            / ((y - y_fast) * (y - y_slow) * (y + y_fast) * (y + y_slow))
-        )
-
-    def near_slow(y):
-        return (
-            2.0 * g * y * y * np.exp(-y * t)
-            / ((y - y_fast) * (y + y_fast) * (y + y_slow))
-        )
-
-    def near_fast(y):
-        return (
-            2.0 * g * y * y * np.exp(-y * t)
-            / ((y - y_slow) * (y + y_fast) * (y + y_slow))
-        )
-
-    total = 0.0
-    pv_slow, _ = principal_value(near_slow, y_slow, half, tol)
-    pv_fast, _ = principal_value(near_fast, y_fast, half, tol)
-    total += pv_slow + pv_fast
-    segments = [
-        (0.0, y_slow - half),
-        (y_slow + half, y_fast - half),
-        (y_fast + half, max(y_top, y_fast + 4.0 * half)),
-    ]
-    for left, right in segments:
-        if right - left <= 0.0:
-            continue
-        inner = [p for p in (0.5 * (left + right), min(4.0 / t, right))
-                 if left < p < right]
-        edges = np.unique(np.concatenate(([left, right], inner)))
-        val, _ = adaptive_gk(full, edges, tol)
-        total += val
-    return float(total)
+    # edges at 1, 4, 16 and 64 times 1/t, so that e^{-yt} never decays
+    # unseen between the nodes of one panel; past y_top the integrand is
+    # below e^{-60} of its scale.  The tolerance follows J's
+    # (bar_omega*t)**-3 tail.
+    y_top = max(4.0 * a, 4.0 * spec.bar_omega, 60.0 / t)
+    edges = np.unique(np.clip(np.concatenate(
+        ([0.0, y_top], np.array([1.0, 4.0, 16.0, 64.0]) / t,
+         centers - radii, centers + radii)), 0.0, y_top))
+    val, _ = adaptive_gk(integrand, edges, 1e-10 * min(1.0, (spec.bar_omega * t) ** -3))
+    return float(val.real)
 
 
 def bath_integral_J(spec: OhmicSystemSpec, t, method: str = "analytic"):
@@ -568,8 +527,10 @@ def bath_integral_J(spec: OhmicSystemSpec, t, method: str = "analytic"):
     method="analytic" evaluates the scaled-exponential-integral closed
     forms (fast, machine accurate, arrays fine); on the critical branch past
     pi*g*t/2 = 60 it sums their asymptotic series instead.  method="quadrature"
-    integrates the definition directly, excising real poles by symmetric
-    principal-value windows; it exists to audit the analytic route.
+    integrates the definition directly, one time at a time, along the real
+    axis bent below the real roots on half circles, and keeps the real
+    part; it shares no special function with the analytic route, which it
+    exists to audit, and aims at 1e-10 * min(1, (bar_omega*t)**-3).
     """
     if method not in ("analytic", "quadrature"):
         raise InputError(f"method must be 'analytic' or 'quadrature', got {method!r}")

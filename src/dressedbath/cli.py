@@ -339,8 +339,13 @@ def main(argv=None) -> int:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return 2
     if cfg.get("out"):
-        with open(cfg["out"], "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(cfg["out"], "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {cfg['out']}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return code

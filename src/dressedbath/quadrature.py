@@ -1,4 +1,4 @@
-"""Batched adaptive Gauss-Kronrod panels and a principal-value transform.
+"""Batched adaptive Gauss-Kronrod panels.
 
 The decay-amplitude integrals need three things scipy.integrate.quad does
 not give directly: vectorized evaluation over many panels at once (the
@@ -22,10 +22,6 @@ func(w)*exp(-i*w*t_k) for many times in one pass: the phase is applied per
 panel, while refinement, tolerance and the left-to-right summation stay
 per time, so a time's value is bit-identical whichever times share its
 call.  func stays a one-argument vectorized function of w.
-
-The principal-value helper maps PV int_{p-h}^{p+h} phi(y)/(y-p) dy onto the
-ordinary integral int_0^h [phi(p+s) - phi(p-s)]/s ds of a smooth (even
-analytic) integrand, which the same panels then handle.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 
-__all__ = ["adaptive_gk", "split_to_width", "principal_value"]
+__all__ = ["adaptive_gk", "split_to_width"]
 
 # 15-point Kronrod abscissae (nonnegative half) and weights, with the
 # embedded 7-point Gauss weights; values as tabulated in QUADPACK's dqk15.
@@ -189,21 +185,3 @@ def split_to_width(edges, max_width):
     i = np.arange(gap.size) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
     return np.concatenate((lefts[gap] + i * (widths / n_sub)[gap], edges[-1:]))
 
-
-def principal_value(phi, pole, half_width, tol_abs):
-    """PV integral of phi(y)/(y - pole) over [pole - h, pole + h].
-
-    Uses the odd-reflection identity: the principal value equals
-    int_0^h [phi(pole+s) - phi(pole-s)]/s ds, whose integrand extends
-    smoothly to 2*phi'(pole) at s = 0.  phi must be vectorized.  Returns
-    (value, error_estimate).
-    """
-    if half_width <= 0:
-        raise NumericalFailure("principal value window must have positive width")
-
-    def odd_part(s):
-        return (phi(pole + s) - phi(pole - s)) / s
-
-    h = float(half_width)
-    edges = np.array([0.0, h / 64.0, h / 16.0, h / 4.0, h])
-    return adaptive_gk(odd_part, edges, tol_abs)

@@ -193,13 +193,66 @@ def test_cavity_ladder_approaches_free_space_before_the_echo():
 # branch-cut integral
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("g", [0.3, 2.0 / math.pi, 3.0])
+@pytest.mark.parametrize("g", [0.3, 2.0 / math.pi, 3.0,
+                               2.0 / math.pi * (1.0 - 1e-6),
+                               2.0 / math.pi * (1.0 + 1e-6), 10.0, 100.0])
 def test_J_analytic_agrees_with_direct_quadrature(g):
     spec = OhmicSystemSpec(bar_omega=1.0, g=g, cavity_L=1.0, light_speed=1.0)
     for t in (0.05, 1.0, 5.0, 30.0):
         j_a = bath_integral_J(spec, t)
         j_q = bath_integral_J(spec, t, method="quadrature")
         assert abs(j_a - j_q) <= 1e-10 + 1e-8 * abs(j_a)
+
+
+def _J_50_digits(g, t):
+    # the closed forms of the underdamped and overdamped regimes (bar_omega 1)
+    with mp.workdps(50):
+        g, t = mp.mpf(g), mp.mpf(t)
+        a = mp.pi * g / 2
+        kappa_sq = 1 - a * a
+        if kappa_sq > 0:
+            root = mp.mpc(a, mp.sqrt(kappa_sq))
+            z = root * t
+            diff = mp.exp(-z) * mp.e1(-z) - mp.exp(z) * mp.e1(z)
+            return float(mp.im(root * diff) / (mp.pi * mp.sqrt(kappa_sq)))
+        kappa = mp.sqrt(-kappa_sq)
+
+        def term(y):
+            x = y * t
+            return y * (mp.exp(-x) * mp.ei(x) + mp.exp(x) * mp.e1(x))
+
+        return float(-(term(a + kappa) - term(a - kappa)) / (2 * mp.pi * kappa))
+
+
+@pytest.mark.parametrize("g, t", [
+    (1.0 / 137, 500.0), (0.8, 500.0), (10.0, 200.0), (100.0, 500.0),
+    # e^{-yt} has decayed by the nodes of a panel that does not end near 1/t
+    (0.3, 1e5),
+    # real roots 1.4e-4 apart share one half circle
+    (2.0 / math.pi * (1.0 + 1e-8), 0.05),
+])
+def test_J_quadrature_matches_50_digits(g, t):
+    # the audit's tolerance follows J's t**-3 tail, so it is sharp at large t
+    spec = OhmicSystemSpec(bar_omega=1.0, g=g, cavity_L=1.0, light_speed=1.0)
+    ref = _J_50_digits(g, t)
+    assert abs(bath_integral_J(spec, t, method="quadrature") - ref) <= 1e-13 * abs(ref)
+
+
+def test_J_quadrature_calls_no_special_function(monkeypatch):
+    # the audit must not share the closed form's exponential integrals
+    specs = [OhmicSystemSpec(bar_omega=1.0, g=g, cavity_L=1.0, light_speed=1.0)
+             for g in (0.3, 2.0 / math.pi, 3.0)]
+    t = np.array([0.05, 5.0, 200.0])
+    want = [bath_integral_J(spec, t) for spec in specs]
+
+    def refuse(*args):
+        raise AssertionError("the audit called a special function")
+
+    monkeypatch.setattr(amplitudes, "ei_scaled", refuse)
+    monkeypatch.setattr(amplitudes, "exp1_scaled", refuse)
+    for spec, ref in zip(specs, want):
+        got = bath_integral_J(spec, t, method="quadrature")
+        assert np.allclose(got, ref, rtol=1e-8, atol=0.0)
 
 
 def test_J_short_time_limits():
@@ -255,7 +308,7 @@ def test_critical_J_series_matches_50_digits(x):
         mx = mp.mpf(CRITICAL_A * t)
         ref = ((mx - 1) * mp.exp(-mx) * mp.ei(mx)
                - (mx + 1) * mp.exp(mx) * mp.e1(mx)) / mp.pi
-    assert bath_integral_J(CRITICAL, t) == pytest.approx(float(ref), rel=1e-14)
+    assert bath_integral_J(CRITICAL, t) == pytest.approx(float(ref), rel=1e-14, abs=0.0)
 
 
 def test_critical_J_array_matches_scalar_calls():

@@ -161,6 +161,16 @@ def test_config_parse_errors(tmp_path, capsys):
     assert rc == 1 and "cannot read config" in err
 
 
+@pytest.mark.parametrize("where", ["missing/x.csv", "."], ids=["missing-dir", "a-dir"])
+def test_unwritable_out_is_an_input_error(tmp_path, capsys, where):
+    target = tmp_path / where
+    rc, out, err = run_cli(capsys, "spectrum", "--bar-omega", "1", "--g", "0.3",
+                           "--cavity-L", "1", "--out", str(target))
+    assert (rc, out) == (1, "")
+    assert err.splitlines() == [err.rstrip("\n")]
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
 def test_decay_probe_row(capsys):
     t_max = repr(2.0 / (math.pi / 137))
     rc, out, _ = run_cli(capsys, "decay", "--bar-omega", "1.0",

@@ -1,12 +1,11 @@
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 
 from dressedbath import quadrature
 from dressedbath.errors import NumericalFailure
-from dressedbath.quadrature import adaptive_gk, principal_value, split_to_width
+from dressedbath.quadrature import adaptive_gk, split_to_width
 
 
 def test_polynomial_exactness():
@@ -78,25 +77,6 @@ def test_split_to_width():
     assert np.all(np.diff(edges) > 0)
     assert np.max(np.diff(edges)) <= 0.7 + 1e-12
     assert 1.0 in edges  # original boundaries survive
-
-
-def test_principal_value_odd_kernel_vanishes():
-    val, err = principal_value(lambda y: np.ones_like(y), 0.0, 1.0, 1e-13)
-    assert abs(val) < 1e-14
-
-
-def test_principal_value_matches_sinh_integral():
-    # PV int_{p-h}^{p+h} e^y/(y-p) dy = 2 e^p Shi(h)
-    mp.mp.dps = 30
-    h, p = 0.3, 0.5
-    ref = float(2.0 * mp.exp(p) * mp.shi(h))
-    val, err = principal_value(np.exp, p, h, 1e-13)
-    assert val == pytest.approx(ref, rel=1e-12)
-
-
-def test_principal_value_rejects_empty_window():
-    with pytest.raises(NumericalFailure):
-        principal_value(np.exp, 0.0, 0.0, 1e-9)
 
 
 def _split_by_linspace(edges, max_width):
