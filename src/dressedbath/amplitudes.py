@@ -46,7 +46,7 @@ from .errors import InputError, NumericalFailure
 from .model import OhmicSystemSpec, RegimeKind, classify_regime
 from .quadrature import adaptive_gk, split_to_width
 from .special import ei_scaled, exp1_scaled
-from .spectrum import _WEIGHT_SUM_TOL, NormalModeSet
+from .spectrum import NormalModeSet, _checked_modes
 
 __all__ = [
     "AmplitudeSeries",
@@ -130,13 +130,24 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _on_threads(task, bounds) -> None:
-    # task(lo, hi) on each range between consecutive bounds: the first on
-    # the calling thread, every other one on a plain thread of its own.
-    # numpy's ufuncs and reductions release the GIL, so the ranges run at
-    # once.  Once every thread has joined, the error of the lowest range
-    # that raised is re-raised, so which one surfaces does not depend on
-    # timing.
+def _worker_count(total, least, most) -> int:
+    # One worker per usable CPU, each with at least `least` of the `total`
+    # work, and at most `most` workers.
+    return max(1, min(_usable_cpus(), int(total // least), int(most)))
+
+
+def _on_threads(task, costs, least, most) -> None:
+    # task(lo, hi) on contiguous ranges of items of about equal summed cost,
+    # one range per worker: the first on the calling thread, every other
+    # one on a plain thread of its own.  numpy's ufuncs and reductions
+    # release the GIL, so the ranges run at once.  Once every thread has
+    # joined, the error of the lowest range that raised is re-raised, so
+    # which one surfaces does not depend on timing.
+    starts = np.cumsum(costs) - costs
+    total = costs.sum()
+    workers = _worker_count(total, least, most)
+    shares = total * np.arange(workers) / workers
+    bounds = np.unique(np.append(np.searchsorted(starts, shares), costs.size))
     errors = [None] * (len(bounds) - 1)
 
     def run(k):
@@ -163,15 +174,6 @@ def _on_threads(task, bounds) -> None:
 # ---------------------------------------------------------------------------
 # discrete sum
 # ---------------------------------------------------------------------------
-
-def _worker_count(rows: int, modes: int) -> int:
-    # One worker per usable CPU, each with at least one time row and
-    # _WORKER_PHASES phases, and no more workers than one block of
-    # _BLOCK_ELEMENTS phases holds rows, so total scratch memory stays at
-    # one block (or one row, when a row is longer).
-    return max(1, min(_usable_cpus(), rows, rows * modes // _WORKER_PHASES,
-                      _BLOCK_ELEMENTS // modes))
-
 
 def _sum_rows(freq, weights, t, out, budget) -> None:
     # out[i] = sum_j weights[j] * exp(-i*freq[j]*t[i]) on blocks of about
@@ -202,24 +204,26 @@ def _phase_sums(freq: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.ndar
     # not depend on which times share its call, block or worker.  A BLAS
     # product rounds a row by the rows beside it, and einsum switches
     # kernels between one long row and several; neither is batch-invariant.
-    # Contiguous ranges of times run on threads.  Complex exp releases the
-    # GIL as well and scales as far on two threads; real cos and sin give
-    # the same bytes and were no slower on one CPU.  On a 2-core VM a phase
-    # term (1e5 modes a row) costs about 44 ns on one worker and 26 ns on
-    # two, so 2**27 of them take about 6 s or 3.5 s.
+    # Contiguous ranges of times run on threads, each with at least
+    # _WORKER_PHASES phases and a share of one block of _BLOCK_ELEMENTS
+    # phases as scratch, so the workers together hold one block (or one
+    # row, when a row is longer).  Complex exp releases the GIL as well and
+    # scales as far on two threads; real cos and sin give the same bytes
+    # and were no slower on one CPU.  On a 2-core VM a phase term (1e5
+    # modes a row) costs about 44 ns on one worker and 26 ns on two, so
+    # 2**27 of them take about 6 s or 3.5 s.
     if freq.size * t.size > _MAX_PHASES:
         raise InputError(
             f"a mode sum over {freq.size} modes x {t.size} times exceeds "
             "2**27 phase terms; use fewer modes or times"
         )
     out = np.empty(t.shape, dtype=complex)
-    workers = _worker_count(t.size, freq.size)
-    budget = _BLOCK_ELEMENTS // workers
 
     def run(lo, hi):
-        _sum_rows(freq, weights, t[lo:hi], out[lo:hi], budget)
+        _sum_rows(freq, weights, t[lo:hi], out[lo:hi], _BLOCK_ELEMENTS * (hi - lo) // t.size)
 
-    _on_threads(run, [t.size * k // workers for k in range(workers + 1)])
+    _on_threads(run, np.full(t.size, freq.size), _WORKER_PHASES,
+                _BLOCK_ELEMENTS // freq.size)
     return out
 
 
@@ -235,16 +239,10 @@ def f00_discrete(modes: NormalModeSet, weights, times) -> AmplitudeSeries:
     are.
     """
     t = _validate_times(times)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != modes.frequencies.shape:
-        raise InputError("need exactly one weight per mode")
-    if not np.all(w > 0.0):
-        raise InputError("weights must be positive")
-    if w.sum() > 1.0 + _WEIGHT_SUM_TOL:
-        raise InputError("weights must sum to at most 1")
+    freq, w = _checked_modes(modes.frequencies, weights)
     return AmplitudeSeries(
         times=t,
-        values=_phase_sums(modes.frequencies, w, t),
+        values=_phase_sums(freq, w, t),
         spec_snapshot=modes.spec_snapshot,
     )
 
@@ -325,16 +323,6 @@ def _f00_at_zero(g: float, bar_sq: float, w_top: float, density, head_edges):
     return complex(head + tail), err_h + err_t
 
 
-def _quadrature_workers(n_panels: np.ndarray) -> int:
-    # One worker per usable CPU, each with at least _BATCH_PANELS initial
-    # panels.  A worker's pass in flight holds under _BATCH_PANELS panels
-    # plus those of its last time, so the workers together never hold more
-    # than one worker may alone: _MAX_PANELS plus one batch.
-    in_flight = _BATCH_PANELS + n_panels.max()
-    return max(1, min(_usable_cpus(), int(n_panels.sum() // _BATCH_PANELS),
-                      int((_MAX_PANELS + _BATCH_PANELS) // in_flight)))
-
-
 def _f00_oscillating(g: float, bar_sq: float, w_top: float, density, head_edges, t):
     # f00 and its error estimate at the positive times t
     # analytic tail starts once the phase w*t clears `phase_min`, chosen so
@@ -373,12 +361,14 @@ def _f00_oscillating(g: float, bar_sq: float, w_top: float, density, head_edges,
                 times=t[idx],
             )
 
-    # contiguous ranges of about equal initial-panel count, one per worker;
-    # adaptive_gk gives each time the same value whichever times share its
-    # call, so the bytes do not depend on the worker count
-    workers = _quadrature_workers(n_panels)
-    shares = n_panels.sum() * np.arange(workers) / workers
-    _on_threads(run, np.unique(np.append(np.searchsorted(starts, shares), t.size)))
+    # contiguous ranges of about equal initial-panel count, at least
+    # _BATCH_PANELS each; a worker's pass in flight holds under
+    # _BATCH_PANELS panels plus those of its last time, so the workers
+    # together never hold more than one may alone: _MAX_PANELS plus one
+    # batch.  adaptive_gk gives each time the same value whichever times
+    # share its call, so the bytes do not depend on the worker count.
+    _on_threads(run, n_panels, _BATCH_PANELS,
+                (_MAX_PANELS + _BATCH_PANELS) // (_BATCH_PANELS + n_panels.max()))
 
     f_derivs = _tail_derivatives(w_tail, bar_sq, g)
     it = 1j * t
@@ -440,18 +430,32 @@ _J_SERIES_EDGE = 60.0
 _J_SERIES = tuple(float(2 * m * math.factorial(2 * m)) for m in range(1, 15))
 
 
-def _closed_form(spec: OhmicSystemSpec, t: np.ndarray):
-    # pole term and branch-cut integral J at the positive times t
+def _denominator_roots(spec: OhmicSystemSpec):
+    # the regime, a = pi*g/2 and the roots p, q of J's denominator
+    # (y**2 - p**2)(y**2 - q**2): a +- i*kappa (underdamped), a twice
+    # (critical), or q = a + kappa and p = bar_omega**2/q (overdamped),
+    # which equals a - kappa without cancellation
     regime = classify_regime(spec)
     a = 0.5 * math.pi * spec.g
+    kappa = regime.kappa_abs
     if regime.kind is RegimeKind.UNDERDAMPED:
-        kappa = regime.kappa_abs
-        root = complex(a, kappa)
-        z = root * t
+        return regime, a, complex(a, kappa), complex(a, -kappa)
+    if regime.kind is RegimeKind.CRITICAL:
+        return regime, a, a, a
+    q = a + kappa
+    return regime, a, spec.bar_omega**2 / q, q
+
+
+def _closed_form(spec: OhmicSystemSpec, t: np.ndarray):
+    # pole term and branch-cut integral J at the positive times t
+    regime, a, p, q = _denominator_roots(spec)
+    kappa = regime.kappa_abs
+    if regime.kind is RegimeKind.UNDERDAMPED:
+        z = p * t
         pair = exp1_scaled(np.concatenate((-z, z)))
         diff = pair[: t.size] - pair[t.size:]
         pole = (1.0 - 1j * a / kappa) * np.exp(-z)
-        return pole, (root * diff).imag / (math.pi * kappa)
+        return pole, (p * diff).imag / (math.pi * kappa)
     if regime.kind is RegimeKind.CRITICAL:
         x = a * t
         j = ((x - 1.0) * ei_scaled(x) - (x + 1.0) * np.real(exp1_scaled(x))) / math.pi
@@ -464,14 +468,11 @@ def _closed_form(spec: OhmicSystemSpec, t: np.ndarray):
                 total = total * r_sq + coef
             j[far] = (2.0 / math.pi) * r * r_sq * total
         return (1.0 - x) * np.exp(-x) + 0.0j, j
-    kabs = regime.kappa_abs
-    y_fast = a + kabs
-    y_slow = spec.bar_omega**2 / y_fast  # equals a - kabs without cancellation
-    x = np.concatenate((y_fast * t, y_slow * t))
+    x = np.concatenate((q * t, p * t))
     s = ei_scaled(x) + np.real(exp1_scaled(x))
     e = np.exp(-x)
-    pole = (y_fast * e[: t.size] - y_slow * e[t.size:]) / (2.0 * kabs) + 0.0j
-    return pole, -(y_fast * s[: t.size] - y_slow * s[t.size:]) / (2.0 * math.pi * kabs)
+    pole = (q * e[: t.size] - p * e[t.size:]) / (2.0 * kappa) + 0.0j
+    return pole, -(q * s[: t.size] - p * s[t.size:]) / (2.0 * math.pi * kappa)
 
 
 def _j_quadrature(spec: OhmicSystemSpec, t: float) -> float:
@@ -480,16 +481,8 @@ def _j_quadrature(spec: OhmicSystemSpec, t: float) -> float:
     # circles, which add i*pi times real residues, so the real part is the
     # principal value at a simple root and the finite part at the double one
     g = spec.g
-    a = 0.5 * math.pi * g
-    regime = classify_regime(spec)
+    regime, a, p, q = _denominator_roots(spec)
     kappa = regime.kappa_abs
-    if regime.kind is RegimeKind.UNDERDAMPED:
-        p, q = complex(a, kappa), complex(a, -kappa)
-    elif regime.kind is RegimeKind.CRITICAL:
-        p = q = a
-    else:
-        q = a + kappa
-        p = spec.bar_omega**2 / q  # equals a - kappa without cancellation
     # real roots within a/4 of a share one half circle of radius a/2; with
     # a small circle each, the integrand on the axis between them would
     # reach O(1/kappa**2) and cancel to O(1)
@@ -609,23 +602,10 @@ def cavity_survival_series(weights, frequencies, times) -> np.ndarray:
     """
     try:
         w0, wk = weights
+        w = np.concatenate(([float(w0)], np.asarray(wk, dtype=float)))
     except (TypeError, ValueError) as exc:
         raise InputError("weights must be the pair (w0, ladder_weights)") from exc
-    w0 = float(w0)
-    wk = np.asarray(wk, dtype=float)
-    freq = np.asarray(frequencies, dtype=float)
-    if wk.ndim != 1 or freq.shape != (wk.size + 1,):
-        raise InputError("need one frequency for w0 plus one per ladder weight")
-    if not (w0 > 0.0 and np.all(wk > 0.0)):
-        raise InputError("weights must be positive")
-    w = np.concatenate(([w0], wk))
-    if w.sum() > 1.0 + _WEIGHT_SUM_TOL:
-        raise InputError("weights must sum to at most 1")
-    if not (np.all(np.isfinite(freq)) and freq[0] > 0.0
-            and np.all(np.diff(freq) > 0.0)):
-        raise InputError(
-            "frequencies must be finite, positive and strictly increasing"
-        )
+    freq, w = _checked_modes(frequencies, w)
     t = _validate_times(times)
     return np.abs(_phase_sums(freq, w, t)) ** 2
 

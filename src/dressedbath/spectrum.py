@@ -85,38 +85,45 @@ class ModeSource(Enum):
     SMALL_L_ASYMPTOTIC = "small-l"
 
 
+def _checked_modes(frequencies, weights):
+    """The frequencies and weights of a mode set as float arrays.
+
+    Raises InputError unless there is one weight per frequency and at least
+    one mode, the frequencies are finite, positive and strictly increasing,
+    and the weights are positive (NaN is not) and sum to at most 1 (+1e-8
+    slack).
+    """
+    freq = np.asarray(frequencies, dtype=float)
+    wts = np.asarray(weights, dtype=float)
+    if freq.ndim != 1 or wts.shape != freq.shape:
+        raise InputError(f"need one weight per frequency, got {wts.shape} vs {freq.shape}")
+    if freq.size == 0:
+        raise InputError("a mode set needs at least one mode")
+    if not (np.all(np.isfinite(freq)) and freq[0] > 0.0 and np.all(np.diff(freq) > 0.0)):
+        raise InputError("frequencies must be finite, positive and strictly increasing")
+    if not np.all(wts > 0.0):
+        raise InputError("weights must be positive")
+    if wts.sum() > 1.0 + _WEIGHT_SUM_TOL:
+        raise InputError("weights must sum to at most 1")
+    return freq, wts
+
+
 @dataclass(frozen=True, eq=False)
 class NormalModeSet:
     """A sorted normal-mode spectrum with its particle weights.
 
     ``frequencies`` holds the mode frequencies in ascending order and
-    ``weights`` the squared particle components (t_0^r)**2, one per mode.
-    ``variant`` records which cotangent constant produced a cavity set.
+    ``weights`` the squared particle components (t_0^r)**2, one per mode;
+    ``_checked_modes`` states what they must satisfy.
     """
 
     frequencies: np.ndarray
     weights: np.ndarray
     source: ModeSource
     spec_snapshot: OhmicSystemSpec
-    variant: str | None = None
 
     def __post_init__(self) -> None:
-        freq = np.asarray(self.frequencies, dtype=float)
-        wts = np.asarray(self.weights, dtype=float)
-        if freq.ndim != 1 or wts.ndim != 1:
-            raise InputError("frequencies and weights must be 1d arrays")
-        if freq.size != wts.size:
-            raise InputError(f"{freq.size} frequencies vs {wts.size} weights")
-        if freq.size == 0:
-            raise InputError("a mode set needs at least one mode")
-        if not np.all(np.isfinite(freq)) or not np.all(np.isfinite(wts)):
-            raise InputError("mode data must be finite")
-        if np.any(freq <= 0) or np.any(np.diff(freq) <= 0):
-            raise InputError("frequencies must be positive and strictly increasing")
-        if np.any(wts <= 0) or np.any(wts > 1.0 + _WEIGHT_SUM_TOL):
-            raise InputError("weights must lie in (0, 1]")
-        if wts.sum() > 1.0 + _WEIGHT_SUM_TOL:
-            raise InputError("particle weights must sum to at most 1")
+        freq, wts = _checked_modes(self.frequencies, self.weights)
         freq.setflags(write=False)
         wts.setflags(write=False)
         object.__setattr__(self, "frequencies", freq)
@@ -446,7 +453,6 @@ def solve_cavity_spectrum(
         weights=weights,
         source=ModeSource.CAVITY_CLOSED_FORM,
         spec_snapshot=spec,
-        variant=variant,
     )
 
 

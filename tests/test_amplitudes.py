@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -87,27 +88,51 @@ def _phase_sum_case():
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_phase_sums_equal_the_complex_exponential_sum_bitwise(monkeypatch, workers):
-    # blocks of 21 rows on one worker, 10 on two and 7 on three put seams
+    # blocks of 21 rows on one worker, 10 on two and 6-7 on three put seams
     # inside every worker's range of about 100 rows
     freq, weights, t = _phase_sum_case()
     ref = (np.exp(-1j * t[:, None] * freq) * weights).sum(axis=1)
     monkeypatch.setattr(amplitudes, "_BLOCK_ELEMENTS", 21 * freq.size)
-    monkeypatch.setattr(amplitudes, "_worker_count", lambda rows, modes: workers)
+    monkeypatch.setattr(amplitudes, "_worker_count", lambda *args: workers)
     got = amplitudes._phase_sums(freq, weights, t)
     assert got.tobytes() == ref.tobytes()
     assert not np.signbit(got[0].imag)
 
 
+def _no_thread(*args, **kwargs):
+    raise AssertionError("a thread was started")
+
+
 def test_worker_count_bounds(monkeypatch):
+    # the one worker policy, as the mode sums and the quadrature call it
     monkeypatch.setattr(amplitudes.os, "sched_getaffinity", lambda pid: set(range(8)),
                         raising=False)
     count = amplitudes._worker_count
-    assert count(2**12 - 1, 16) == 1  # a small sum stays on the calling thread
-    assert count(3 * 2**12, 16) == 3  # at least 2**16 phases per worker
-    assert count(2**20, 16) == 8  # one per CPU
-    assert count(2**10, 2**17) == 2  # scratch stays at one block of 2**18
-    assert count(2**8, 2**19) == 1  # or one row when a row is longer
-    assert count(1, 2**17) == 1  # and every worker gets a row
+    block, least = amplitudes._BLOCK_ELEMENTS, amplitudes._WORKER_PHASES
+    assert count((2**12 - 1) * 16, least, block // 16) == 1  # calling thread
+    assert count(3 * 2**12 * 16, least, block // 16) == 3  # 2**16 phases a worker
+    assert count(2**20 * 16, least, block // 16) == 8  # one per CPU
+    assert count(2**10 * 2**17, least, block // 2**17) == 2  # one block of scratch
+    assert count(2**8 * 2**19, least, block // 2**19) == 1  # or one longer row
+    batch, most = amplitudes._BATCH_PANELS, amplitudes._MAX_PANELS
+    half = most // 2
+
+    def panels(n_panels):
+        n_panels = np.asarray(n_panels)
+        return count(n_panels.sum(), batch, (most + batch) // (batch + n_panels.max()))
+
+    assert panels(np.full(100, 81.0)) == 1  # under two batches: calling thread
+    assert panels(np.full(100, 82.0)) == 2  # at least 4096 panels a worker
+    assert panels(np.full(10**4, 100.0)) == 8  # one per CPU
+    assert panels(np.full(8, half - 4096.0)) == 2  # in flight: at most one
+    assert panels(np.full(8, half + 1.0)) == 1  # worker's 2**20 plus a batch
+    assert panels([10.0] * 10**5 + [half + 1.0]) == 1
+    # a single row, half a block or longer than one, stays on the calling
+    # thread: the empty second range is dropped
+    monkeypatch.setattr(amplitudes.threading, "Thread", _no_thread)
+    for modes in (2**17, block + 1):
+        freq = np.arange(1.0, modes + 1.0)
+        amplitudes._phase_sums(freq, np.full(modes, 1.0 / modes), np.array([0.5]))
 
 
 def _run_phase_sums():
@@ -118,11 +143,11 @@ def _run_quadrature():
     f00_quadrature(_unit_spec(8.5), np.linspace(0.0, 60.0, 32))
 
 
-@pytest.mark.parametrize("kernel, counter, call", [
-    pytest.param("_sum_rows", "_worker_count", _run_phase_sums, id="phase-sums"),
-    pytest.param("adaptive_gk", "_quadrature_workers", _run_quadrature, id="quadrature"),
+@pytest.mark.parametrize("kernel, call", [
+    pytest.param("_sum_rows", _run_phase_sums, id="phase-sums"),
+    pytest.param("adaptive_gk", _run_quadrature, id="quadrature"),
 ])
-def test_threads_reraise_a_worker_error_after_joining(monkeypatch, kernel, counter, call):
+def test_threads_reraise_a_worker_error_after_joining(monkeypatch, kernel, call):
     # both users of the thread helper: a worker's error surfaces only once
     # every thread has joined
     real = getattr(amplitudes, kernel)
@@ -133,7 +158,7 @@ def test_threads_reraise_a_worker_error_after_joining(monkeypatch, kernel, count
         return real(*args, **kwargs)
 
     monkeypatch.setattr(amplitudes, kernel, failing)
-    monkeypatch.setattr(amplitudes, counter, lambda *args: 3)
+    monkeypatch.setattr(amplitudes, "_worker_count", lambda *args: 3)
     before = threading.active_count()
     with pytest.raises(NumericalFailure, match="worker failed"):
         call()
@@ -381,7 +406,7 @@ def test_quadrature_worker_count_does_not_change_bytes(monkeypatch, name):
     spec, t = _quadrature_case(name)
     out = {}
     for workers in (1, 2, 3):
-        monkeypatch.setattr(amplitudes, "_quadrature_workers", lambda n, w=workers: w)
+        monkeypatch.setattr(amplitudes, "_worker_count", lambda *args, w=workers: w)
         out[workers] = f00_quadrature(spec, t).values.tobytes()
     assert out[1] == out[2] == out[3]
 
@@ -391,7 +416,7 @@ def test_quadrature_threads_under_stress(monkeypatch):
     # ranges write disjoint slices, so no value may be lost or moved
     spec, t = _quadrature_case("strong")
     reference = f00_quadrature(spec, t).values.tobytes()
-    monkeypatch.setattr(amplitudes, "_quadrature_workers", lambda n: 16)
+    monkeypatch.setattr(amplitudes, "_worker_count", lambda *args: 16)
     before = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -403,22 +428,6 @@ def test_quadrature_threads_under_stress(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == before
-
-
-def test_quadrature_worker_count_bounds(monkeypatch):
-    monkeypatch.setattr(amplitudes, "_usable_cpus", lambda: 8)
-    count = amplitudes._quadrature_workers
-    half = amplitudes._MAX_PANELS // 2
-    assert count(np.full(100, 81.0)) == 1  # under two batches: calling thread
-    assert count(np.full(100, 82.0)) == 2  # at least 4096 panels a worker
-    assert count(np.full(10**4, 100.0)) == 8  # one per CPU
-    assert count(np.full(8, half - 4096.0)) == 2  # in flight: at most one
-    assert count(np.full(8, half + 1.0)) == 1  # worker's 2**20 plus a batch
-    assert count(np.array([10.0] * 10**5 + [half + 1.0])) == 1
-
-
-def _no_thread(*args, **kwargs):
-    raise AssertionError("a thread was started")
 
 
 def test_small_quadrature_grids_start_no_thread(monkeypatch):
@@ -531,7 +540,7 @@ def test_cavity_survival_series_brute_force(monkeypatch):
     for w, f in zip(wk, freqs[1:]):
         amps = amps + w * np.exp(-1j * f * t)
     assert np.allclose(got, np.abs(amps) ** 2, atol=1e-14)
-    assert got[0] == pytest.approx((w0 + wk.sum()) ** 2, rel=1e-14)
+    assert got[0] == pytest.approx((w0 + wk.sum()) ** 2, rel=1e-14, abs=0.0)
     # blocks of 7 times put 43 seams in the grid; none may change a bit
     monkeypatch.setattr(amplitudes, "_BLOCK_ELEMENTS", 7 * freqs.size)
     assert np.array_equal(cavity_survival_series((w0, wk), freqs, t), got)
@@ -594,19 +603,29 @@ def test_cavity_survival_series_guards():
                                np.array([1.0, 2.0]), [0.0])
 
 
-@pytest.mark.parametrize("w0, freqs", [
-    (math.nan, [1.0, 2.0, 3.0]),
-    (0.9, [1.0, math.nan, 3.0]),
-    (0.9, [1.0, math.inf, 3.0]),
-    (0.9, [-1.0, 2.0, 3.0]),
-    (0.9, [3.0, 2.0, 1.0]),
+@pytest.mark.parametrize("weights, freqs", [
+    ([math.nan, 0.04, 0.03], [1.0, 2.0, 3.0]),
+    ([0.9, 0.04, 0.03], [1.0, math.nan, 3.0]),
+    ([0.9, 0.04, 0.03], [1.0, math.inf, 3.0]),
+    ([0.9, 0.04, 0.03], [-1.0, 2.0, 3.0]),
+    ([0.9, 0.04, 0.03], [3.0, 2.0, 1.0]),
+    ([0.9, math.inf, 0.03], [1.0, 2.0, 3.0]),
+    ([0.9, 0.04, 0.03], [1.0, 2.0, 3.0, 4.0]),
 ], ids=["nan-w0", "nan-frequency", "infinite-frequency", "negative-frequency",
-        "descending-ladder"])
-def test_cavity_survival_series_refuses_bad_inputs(monkeypatch, w0, freqs):
+        "descending-ladder", "infinite-weight", "length-mismatch"])
+def test_cavity_survival_series_refuses_bad_inputs(monkeypatch, weights, freqs):
+    # every entry point that takes a mode set refuses it before any phase
+    # is summed; f00_discrete gets the bad frequencies on a stand-in set
+    weights, freqs = np.array(weights), np.array(freqs)
     monkeypatch.setattr(amplitudes, "_phase_sums", _no_phase_sums)
     with pytest.raises(InputError):
-        cavity_survival_series((w0, np.array([0.04, 0.03])), np.array(freqs),
-                               [0.0, 1.0])
+        cavity_survival_series((weights[0], weights[1:]), freqs, [0.0, 1.0])
+    with pytest.raises(InputError):
+        f00_discrete(SimpleNamespace(frequencies=freqs, spec_snapshot=ANY_SPEC),
+                     weights, [0.0, 1.0])
+    with pytest.raises(InputError):
+        NormalModeSet(frequencies=freqs, weights=weights,
+                      source=ModeSource.FINITE_N, spec_snapshot=ANY_SPEC)
 
 
 def test_mode_sums_refuse_weights_over_the_mode_sets_slack(monkeypatch):
@@ -629,10 +648,10 @@ def test_mode_sums_refuse_weights_over_the_mode_sets_slack(monkeypatch):
 
 def test_cavity_min_bound_frozen_values():
     weak = cavity_min_bound(0.005, "weak")
-    assert weak.min_probability == pytest.approx(0.9742038791690163, rel=1e-12)
+    assert weak.min_probability == pytest.approx(0.9742038791690163, rel=1e-12, abs=0.0)
     assert not weak.unphysical
     strong = cavity_min_bound(0.1, "strong")
-    assert strong.min_probability == pytest.approx(0.6454492651886263, rel=1e-12)
+    assert strong.min_probability == pytest.approx(0.6454492651886263, rel=1e-12, abs=0.0)
     deep = cavity_min_bound(0.5, "strong")
     assert deep.unphysical and deep.min_probability < 0.0
 

@@ -17,20 +17,20 @@ def test_derived_quantities_match_definitions():
     spec = OhmicSystemSpec(bar_omega=3.0, g=0.7, cavity_L=2.5, n_modes=12,
                            light_speed=1.0)
     d = derive_parameters(spec)
-    assert d.delta_omega == pytest.approx(2.0 * math.pi / 2.5, rel=1e-15)
-    assert d.eta**2 == pytest.approx(2.0 * 0.7 * d.delta_omega, rel=1e-15)
-    assert d.omega0**2 == pytest.approx(9.0 + 12 * d.eta**2, rel=1e-15)
-    assert d.kappa_sq == pytest.approx(9.0 - (math.pi * 0.7) ** 2 / 4.0, rel=1e-15)
-    assert d.beta == pytest.approx(0.7 / 3.0, rel=1e-15)
-    assert d.delta == pytest.approx(2.5 * 0.7 / 2.0, rel=1e-15)
+    assert d.delta_omega == pytest.approx(2.0 * math.pi / 2.5, rel=1e-15, abs=0.0)
+    assert d.eta**2 == pytest.approx(2.0 * 0.7 * d.delta_omega, rel=1e-15, abs=0.0)
+    assert d.omega0**2 == pytest.approx(9.0 + 12 * d.eta**2, rel=1e-15, abs=0.0)
+    assert d.kappa_sq == pytest.approx(9.0 - (math.pi * 0.7) ** 2 / 4.0, rel=1e-15, abs=0.0)
+    assert d.beta == pytest.approx(0.7 / 3.0, rel=1e-15, abs=0.0)
+    assert d.delta == pytest.approx(2.5 * 0.7 / 2.0, rel=1e-15, abs=0.0)
 
 
 def test_from_dimensionless_round_trips():
     spec = OhmicSystemSpec.from_dimensionless(beta=0.37, delta=0.012,
                                               bar_omega=2e9, n_modes=5)
     d = derive_parameters(spec)
-    assert d.beta == pytest.approx(0.37, rel=1e-14)
-    assert d.delta == pytest.approx(0.012, rel=1e-14)
+    assert d.beta == pytest.approx(0.37, rel=1e-14, abs=0.0)
+    assert d.delta == pytest.approx(0.012, rel=1e-14, abs=0.0)
     assert spec.light_speed == 1.0
     assert spec.n_modes == 5
 

@@ -108,8 +108,8 @@ def test_jacobi_two_by_two_closed_form():
     eigvals, vecs = eigen_decompose(matrix)
     mean = 0.5 * (a + b)
     half = 0.5 * math.hypot(a - b, 2.0 * c)
-    assert eigvals[0] == pytest.approx(mean - half, rel=1e-15)
-    assert eigvals[1] == pytest.approx(mean + half, rel=1e-15)
+    assert eigvals[0] == pytest.approx(mean - half, rel=1e-15, abs=0.0)
+    assert eigvals[1] == pytest.approx(mean + half, rel=1e-15, abs=0.0)
     assert np.allclose(vecs.T @ vecs, np.eye(2), atol=1e-15)
     recon = vecs @ np.diag(eigvals) @ vecs.T
     assert np.allclose(recon, matrix.entries, atol=1e-14)

@@ -53,15 +53,15 @@ def test_exp1_scaled_left_half_plane(re, im):
 def test_ei_scaled_positive_axis(x):
     got = ei_scaled(x)
     want = _ref_ei_scaled(x)
-    assert got == pytest.approx(want, rel=5e-14)
+    assert got == pytest.approx(want, rel=5e-14, abs=0.0)
 
 
 def test_branch_seam_is_smooth():
     # either side of the series cut at |Re z| = 600 stays pinned to the
     # high-precision value; no accuracy cliff at the switchover
     lo, hi = 600.0 - 1e-6, 600.0 + 1e-6
-    assert ei_scaled(lo) == pytest.approx(_ref_ei_scaled(lo), rel=5e-13)
-    assert ei_scaled(hi) == pytest.approx(_ref_ei_scaled(hi), rel=5e-13)
+    assert ei_scaled(lo) == pytest.approx(_ref_ei_scaled(lo), rel=5e-13, abs=0.0)
+    assert ei_scaled(hi) == pytest.approx(_ref_ei_scaled(hi), rel=5e-13, abs=0.0)
     a = exp1_scaled(complex(lo, 1.0))
     b = exp1_scaled(complex(hi, 1.0))
     ref_a = _ref_exp1_scaled(complex(lo, 1.0))
@@ -104,8 +104,8 @@ def test_array_and_scalar_forms_agree():
 
 def test_large_argument_decay():
     # both behave like 1/argument far out
-    assert ei_scaled(1e8) == pytest.approx(1e-8, rel=1e-7)
-    assert exp1_scaled(1e8 + 0j) == pytest.approx(1e-8, rel=1e-7)
+    assert ei_scaled(1e8) == pytest.approx(1e-8, rel=1e-7, abs=0.0)
+    assert exp1_scaled(1e8 + 0j) == pytest.approx(1e-8, rel=1e-7, abs=0.0)
 
 
 def _assert_exp1_close(z):
@@ -164,7 +164,7 @@ def test_exp1_scaled_region_seams(z):
 # series | asymptotic at x = 40, then the asymptotic term-count classes
 @pytest.mark.parametrize("x", [x for b in (40.0, 45.0, 60.0, 120.0) for x in _straddle(b)])
 def test_ei_scaled_region_seams(x):
-    assert ei_scaled(x) == pytest.approx(_ref_ei_scaled(x), rel=5e-14)
+    assert ei_scaled(x) == pytest.approx(_ref_ei_scaled(x), rel=5e-14, abs=0.0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

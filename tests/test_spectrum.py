@@ -269,7 +269,7 @@ def test_cavity_roots_match_high_precision(beta, delta, variant, base):
     scale = 2.0 * spec.light_speed / spec.cavity_L
     for k in (0, 1, 7, 100):
         ref = scale * _cavity_root_highprec(k, mp.mpf(delta), mp.mpf(c_const))
-        assert modes.frequencies[k] == pytest.approx(ref, rel=1e-12)
+        assert modes.frequencies[k] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_quantised_branch_root_converges():
@@ -282,7 +282,7 @@ def test_quantised_branch_root_converges():
     c_const = 2.0 - 2.0 * delta / (math.pi * beta**2)
     scale = 2.0 * spec.light_speed / spec.cavity_L
     ref = scale * _cavity_root_highprec(0, mp.mpf(delta), mp.mpf(c_const))
-    assert modes.frequencies[0] == pytest.approx(ref, rel=1e-12)
+    assert modes.frequencies[0] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def _branch_zero_50_digits(beta, delta, base):
@@ -305,7 +305,7 @@ def test_branch_zero_matches_fifty_digits(beta, delta, variant, base):
     spec = OhmicSystemSpec.from_dimensionless(beta=beta, delta=delta)
     modes = solve_cavity_spectrum(spec, k_max=1, variant=variant)
     s = modes.frequencies[0] * spec.cavity_L / (2.0 * spec.light_speed)
-    assert s == pytest.approx(_branch_zero_50_digits(beta, delta, base), rel=1e-12)
+    assert s == pytest.approx(_branch_zero_50_digits(beta, delta, base), rel=1e-12, abs=0.0)
 
 
 def test_cavity_root_count_and_interlacing():
@@ -316,7 +316,6 @@ def test_cavity_root_count_and_interlacing():
     k = np.arange(501)
     assert np.all(modes.frequencies > k * d.delta_omega)
     assert np.all(modes.frequencies < (k + 1) * d.delta_omega)
-    assert modes.variant == "rederived"
 
 
 def test_deep_branch_roots_stay_accurate():
@@ -377,7 +376,7 @@ def test_small_L_lowest_mode_and_displacements():
     assert modes.spec_snapshot == spec
     assert modes.frequencies.shape == modes.weights.shape == (51,)
     assert modes.frequencies[0] == pytest.approx(
-        1.0 / math.sqrt(1.0 + math.pi * 0.005), rel=1e-15)
+        1.0 / math.sqrt(1.0 + math.pi * 0.005), rel=1e-15, abs=0.0)
     rho = spec.bar_omega / d.delta_omega
     k = np.arange(1, 51)
     eps_ref = (0.005 / math.pi) * k / (k**2 - rho**2)
@@ -430,8 +429,8 @@ def test_smallness_factor_identities():
         f = cavity_smallness_factor(spec)
         residual = f.full**2 - math.pi * beta**2 * f.full - beta**2
         assert abs(residual) < 1e-12 * f.full**2
-        assert f.weak_limit == pytest.approx(beta, rel=1e-15)
-        assert f.strong_limit == pytest.approx(0.5 * math.pi * beta**2, rel=1e-15)
+        assert f.weak_limit == pytest.approx(beta, rel=1e-15, abs=0.0)
+        assert f.strong_limit == pytest.approx(0.5 * math.pi * beta**2, rel=1e-15, abs=0.0)
         assert f.full > f.strong_limit
         assert f.full > 0
     # the limiting forms are only asymptotic names: at strong coupling the
@@ -449,15 +448,15 @@ def test_smallness_factor_identities():
 @pytest.mark.parametrize("u", [0.005, 0.05, 0.3, 0.9, 0.999, 1.5, 2.7])
 def test_closed_form_against_mpmath(u):
     ref = float(mp.nsum(lambda k: 1.0 / (k * k - mp.mpf(u) ** 2), [1, mp.inf]))
-    assert cot_series_closed_form(u) == pytest.approx(ref, rel=1e-13)
+    assert cot_series_closed_form(u) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_closed_form_small_u_limit():
-    assert cot_series_closed_form(0.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-15)
+    assert cot_series_closed_form(0.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-15, abs=0.0)
     # both sides of the Taylor/cotangent seam of cot(s) - 1/s at s = pi*|u| = 0.5
     for u in (0.5 / math.pi - 1e-9, 0.5 / math.pi + 1e-9):
         ref = float(mp.nsum(lambda k: 1.0 / (k * k - mp.mpf(u) ** 2), [1, mp.inf]))
-        assert cot_series_closed_form(u) == pytest.approx(ref, rel=1e-13)
+        assert cot_series_closed_form(u) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_closed_form_within_rounding_of_40_digits():

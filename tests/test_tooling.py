@@ -1,6 +1,8 @@
 """The benchmark harness's tracer names layers that still exist, every
-export list names something real, and the package's import stays light."""
+export list names something real, no private name is dead, and the
+package's import stays light."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -37,6 +39,42 @@ def test_export_lists_name_existing_attributes():
         assert len(set(exported)) == len(exported), module.__name__
         missing = [name for name in exported if not hasattr(module, name)]
         assert not missing, f"{module.__name__}: {missing}"
+
+
+def test_private_module_names_are_used_in_the_package():
+    # a module-level private name that nothing else in src/ reads is dead
+    # code; a use inside the name's own definition does not count
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "dressedbath").glob("*.py"))}
+    uses = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            uses.setdefault(name, []).append((path, node.lineno))
+    unused = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                if all(p == path and node.lineno <= line <= node.end_lineno
+                       for p, line in uses.get(name, [])):
+                    unused.append(f"{path.name}: {name}")
+    assert not unused
 
 
 def test_cli_import_pulls_in_no_process_pools():

@@ -26,7 +26,7 @@ def test_equal_mixing_point():
     spec = OhmicSystemSpec(bar_omega=bar_omega, g=1.0, cavity_L=1.0,
                            n_modes=1, light_speed=1.0)
     d = derive_parameters(spec)
-    assert d.omega0**2 == pytest.approx(d.delta_omega**2, rel=1e-14)
+    assert d.omega0**2 == pytest.approx(d.delta_omega**2, rel=1e-14, abs=0.0)
     modes = solve_finite_spectrum(spec)
     tm = finite_matrix(spec, modes)
     assert np.allclose(np.abs(tm.entries), 0.5 * math.sqrt(2.0), rtol=1e-10)
@@ -68,7 +68,7 @@ def test_small_L_weight_values():
     spec = OhmicSystemSpec.from_dimensionless(beta=1.0 / 137, delta=0.005)
     weak = approx_small_L_spectrum(spec, k_max=1000, regime="weak")
     w0, ladder = weak.weights[0], weak.weights[1:]
-    assert w0 == pytest.approx(1.0 - math.pi * 0.005, rel=1e-15)
+    assert w0 == pytest.approx(1.0 - math.pi * 0.005, rel=1e-15, abs=0.0)
     k = np.arange(1, 1001)
     assert np.allclose(ladder, 2.0 * 0.005 / (math.pi * k**2), rtol=1e-15, atol=0.0)
     # zeta(2) closes the ladder sum: total deficit is ~ -2 pi delta/3 + w0
@@ -78,7 +78,7 @@ def test_small_L_weight_values():
 
     strong = approx_small_L_spectrum(spec, k_max=10, regime="strong")
     assert strong.weights[0] == pytest.approx(1.0 / (1.0 + 0.5 * math.pi * 0.005),
-                                              rel=1e-15)
+                                              rel=1e-15, abs=0.0)
     # only w0 depends on the regime
     assert np.array_equal(strong.weights[1:], ladder[:10])
     assert np.array_equal(strong.frequencies, weak.frequencies[:11])
@@ -118,7 +118,7 @@ def test_expansion_coefficient_hand_value():
     row = np.array([0.5, 0.3, math.sqrt(1.0 - 0.25 - 0.09)])
     got = expansion_coefficient(4, (2, 1, 1), row)
     want = math.sqrt(math.factorial(4) / (2 * 1 * 1)) * 0.5**2 * 0.3 * row[2]
-    assert got.value == pytest.approx(want, rel=1e-13)
+    assert got.value == pytest.approx(want, rel=1e-13, abs=0.0)
     assert got.particle_level == 4
     assert got.occupations == (2, 1, 1)
 
