@@ -114,19 +114,6 @@ def test_worker_count_bounds(monkeypatch):
     assert count(2**20 * 16, least, block // 16) == 8  # one per CPU
     assert count(2**10 * 2**17, least, block // 2**17) == 2  # one block of scratch
     assert count(2**8 * 2**19, least, block // 2**19) == 1  # or one longer row
-    batch, most = amplitudes._BATCH_PANELS, amplitudes._MAX_PANELS
-    half = most // 2
-
-    def panels(n_panels):
-        n_panels = np.asarray(n_panels)
-        return count(n_panels.sum(), batch, (most + batch) // (batch + n_panels.max()))
-
-    assert panels(np.full(100, 81.0)) == 1  # under two batches: calling thread
-    assert panels(np.full(100, 82.0)) == 2  # at least 4096 panels a worker
-    assert panels(np.full(10**4, 100.0)) == 8  # one per CPU
-    assert panels(np.full(8, half - 4096.0)) == 2  # in flight: at most one
-    assert panels(np.full(8, half + 1.0)) == 1  # worker's 2**20 plus a batch
-    assert panels([10.0] * 10**5 + [half + 1.0]) == 1
     # a single row, half a block or longer than one, stays on the calling
     # thread: the empty second range is dropped
     monkeypatch.setattr(amplitudes.threading, "Thread", _no_thread)
@@ -134,6 +121,25 @@ def test_worker_count_bounds(monkeypatch):
         freq = np.arange(1.0, modes + 1.0)
         amplitudes._phase_sums(freq, np.full(modes, 1.0 / modes), np.array([0.5]))
 
+
+def test_quadrature_worker_count_bounds(monkeypatch):
+    # the same policy with the quadrature's arguments: panels per worker and
+    # panels in flight
+    monkeypatch.setattr(amplitudes, "_usable_cpus", lambda: 8)
+    batch, most = amplitudes._BATCH_PANELS, amplitudes._MAX_PANELS
+    half = most // 2
+
+    def count(n_panels):
+        n_panels = np.asarray(n_panels)
+        return amplitudes._worker_count(
+            n_panels.sum(), batch, (most + batch) // (batch + n_panels.max()))
+
+    assert count(np.full(100, 81.0)) == 1  # under two batches: calling thread
+    assert count(np.full(100, 82.0)) == 2  # at least 4096 panels a worker
+    assert count(np.full(10**4, 100.0)) == 8  # one per CPU
+    assert count(np.full(8, half - 4096.0)) == 2  # in flight: at most one
+    assert count(np.full(8, half + 1.0)) == 1  # worker's 2**20 plus a batch
+    assert count([10.0] * 10**5 + [half + 1.0]) == 1
 
 def _run_phase_sums():
     amplitudes._phase_sums(*_phase_sum_case())
