@@ -49,15 +49,13 @@ _MAX_DENSE_MODES = 400
 
 
 def _frozen_square(name, value, dim=None) -> np.ndarray:
-    # a copy, so freezing it leaves the caller's array writable
-    m = np.array(value, dtype=float)
+    m = _spectrum._frozen(value)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"{name} must be square")
     if dim is not None and m.shape[0] != dim:
         raise InputError(f"{name} must have the dimension of the potential matrix")
     if not np.all(np.isfinite(m)):
         raise InputError(f"{name} must be finite")
-    m.setflags(write=False)
     return m
 
 

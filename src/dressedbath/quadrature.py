@@ -22,6 +22,14 @@ func(w)*exp(-i*w*t_k) for many times in one pass: the phase is applied per
 panel, while refinement, tolerance and the left-to-right summation stay
 per time, so a time's value is bit-identical whichever times share its
 call.  func stays a one-argument vectorized function of w.
+
+A pass holds its P panels node-major: nodes and integrand values as 15
+rows of P, one row per node, so each step below is a contiguous operation
+on whole rows.  The phase factor e^{-i w t} at w = c + h*x splits into a
+per-panel e^{-i c t} and a per-width e^{-i h t x}, and the 7 node offsets
+of the second are computed once per distinct h*t, about a tenth as many
+as panels.  The rows are then phased and summed one at a time in two
+buffers of P values, so no (15, P) complex array is ever held.
 """
 
 from __future__ import annotations
@@ -61,36 +69,94 @@ _PANEL_BUDGET = 200000
 _REFINE_ROUNDS = 40
 
 
+def _distinct(values):
+    # np.unique(values, return_inverse=True) from one sort and a mask: the
+    # distinct values in ascending order, and the index of each value's own
+    # among them.  np.unique imports numpy.ma on its first call, about 12 ms
+    # of a fresh process.
+    ordered = np.sort(values)
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    return distinct, np.searchsorted(distinct, values)
+
+
+def _phased_rows(fvals, centers, halves, freqs):
+    # yields f(w) e^{-i w t} at each node in turn, as one row of P panels
+    # in the same buffer.  e^{-i w t} at w = c + h*x is e^{-i c t} times
+    # e^{-i h t x}, and the nodes pair up as +-x, so 7 offsets per distinct
+    # width h*t give the second factor of every panel: split_to_width cuts
+    # a gap into equal parts, so a batch holds about a tenth as many
+    # distinct h*t as panels.  Widths are told apart by their bits, so +0.0
+    # and -0.0 stay apart.  glibc's cexp of 0 - i*y is cos(y) - i*sin(y)
+    # bit for bit, so real cos and sin give the complex exponentials'
+    # values, a little faster.
+    widths, which = _distinct((halves * freqs).view(np.int64))
+    arg = _XGK_HALF[:7, None] * widths.view(float)
+    offset = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=offset.real)
+    np.sin(arg, out=offset.imag)
+    arg = centers * freqs
+    center = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=center.real)
+    np.sin(arg, out=center.imag)
+    np.negative(center.imag, out=center.imag)
+    # no product writes over one of its own operands: numpy rounds an
+    # in-place complex product of one element differently
+    row = np.empty(arg.shape, dtype=complex)
+    phased = np.empty(arg.shape, dtype=complex)
+    for j in range(15):
+        if j == 7:
+            row.fill(1.0)
+        else:
+            offset[min(j, 14 - j)].take(which, out=row, mode="clip")
+            if j > 7:
+                np.conjugate(row, out=row)
+        np.multiply(row, center, out=phased)
+        np.multiply(phased, fvals[j], out=row)
+        yield row
+
+
+def _rule_sums(rows, size):
+    # sum_j w_j rows[j] for the Kronrod and the Gauss weights, each added
+    # in node order onto zeros: how einsum("ij,j->i") sums a complex
+    # (P, 15) array, bit for bit
+    kron = np.zeros(size, dtype=complex)
+    gauss = np.zeros(size, dtype=complex)
+    term = np.empty(size, dtype=complex)
+    for j, row in enumerate(rows):
+        np.multiply(row, _WGK[j], out=term)
+        kron += term
+        if j % 2:
+            np.multiply(row, _WG[j // 2], out=term)
+            gauss += term
+    return kron, gauss
+
+
 def _eval_panels(func, lefts, rights, freqs=None):
+    # K15 values and |K15 - G7| errors of the panels [lefts, rights], with
+    # the nodes and integrand values held node-major, (15, P)
     centers = 0.5 * (lefts + rights)
     halves = 0.5 * (rights - lefts)
-    nodes = centers[:, None] + halves[:, None] * _NODES[None, :]
+    nodes = np.multiply(_NODES[:, None], halves)
+    nodes += centers
     fvals = np.asarray(func(nodes.ravel())).reshape(nodes.shape)
-    if freqs is not None:
-        # e^{-i w t} at w = c + h*x is e^{-i c t} e^{-i h t x}, and the nodes
-        # pair up as +-x, so 8 phases per panel give all 15.  glibc's cexp
-        # of 0 - i*y is cos(y) - i*sin(y) bit for bit, so real cos and sin
-        # give the complex exponentials' values, a little faster.
-        arg = (halves * freqs)[:, None] * _XGK_HALF[None, :7]
-        phase = np.empty(nodes.shape, dtype=complex)
-        np.cos(arg, out=phase.real[:, :7])
-        np.sin(arg, out=phase.imag[:, :7])
-        phase[:, 7] = 1.0
-        phase.real[:, 8:] = phase.real[:, 6::-1]
-        np.negative(phase.imag[:, 6::-1], out=phase.imag[:, 8:])
-        arg = centers * freqs
-        center = np.empty(arg.shape, dtype=complex)
-        np.cos(arg, out=center.real)
-        np.sin(arg, out=center.imag)
-        np.negative(center.imag, out=center.imag)
-        phase *= center[:, None]
-        phase *= fvals
-        fvals = phase
-    # einsum, not a BLAS matrix-vector product: BLAS rounds a lone row
-    # differently from the same row among others, and a panel's value must
-    # not depend on which panels share the batch.
-    kron = halves * np.einsum("ij,j->i", fvals, _WGK)
-    gauss = halves * np.einsum("ij,j->i", fvals[:, _GAUSS_IDX], _WG)
+    del nodes  # free before the phases are formed
+    if freqs is None and not np.iscomplexobj(fvals):
+        # einsum, not a BLAS matrix-vector product: BLAS rounds a lone row
+        # differently from the same row among others, and a panel's value
+        # must not depend on which panels share the batch.  The real einsum
+        # sums a contiguous row in its own order, so it gets (P, 15) rows.
+        rows = np.ascontiguousarray(fvals.T)
+        kron = np.einsum("ij,j->i", rows, _WGK)
+        gauss = np.einsum("ij,j->i", rows[:, _GAUSS_IDX], _WG)
+    else:
+        if freqs is not None:
+            fvals = _phased_rows(fvals, centers, halves, freqs)
+        kron, gauss = _rule_sums(fvals, centers.size)
+    kron = halves * kron
+    gauss = halves * gauss
     return kron, np.abs(kron - gauss)
 
 
@@ -135,6 +201,7 @@ def adaptive_gk(func, edges, tol_abs, times=None):
         return _eval_panels(func, lo, hi, None if times is None else times[who])
 
     vals, errs = evaluate(lefts, rights, owner)
+    split = False
     for _ in range(_REFINE_ROUNDS):
         if not np.all(np.isfinite(errs)):
             raise NumericalFailure("integrand produced non-finite values")
@@ -142,6 +209,7 @@ def adaptive_gk(func, edges, tol_abs, times=None):
         open_ = (np.bincount(owner, errs, n_groups) > tol) & (count < _PANEL_BUDGET)
         if not open_.any():
             break
+        split = True
         # every panel below tol/(2n) is fine as is; if all of an open
         # group's were, its total would already be under tol/2, so at least
         # one of its panels splits here.
@@ -160,8 +228,10 @@ def adaptive_gk(func, edges, tol_abs, times=None):
         raise NumericalFailure("integrand produced non-finite values")
     # canonical summation order: left to right within each group,
     # independent of the split history and of the other groups, so
-    # identical inputs give bit-identical sums.
-    vals = vals[np.lexsort((lefts, owner))]
+    # identical inputs give bit-identical sums.  The initial panels come in
+    # that order; only split halves, appended at the end, need the sort.
+    if split:
+        vals = vals[np.lexsort((lefts, owner))]
     ends = np.cumsum(np.bincount(owner, minlength=n_groups)).tolist()
     values = np.array([vals[a:b].sum() for a, b in zip([0] + ends[:-1], ends)])
     errors = np.bincount(owner, errs, n_groups)

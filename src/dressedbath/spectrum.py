@@ -108,6 +108,16 @@ def _checked_modes(frequencies, weights):
     return freq, wts
 
 
+def _frozen(value, dtype=float) -> np.ndarray:
+    # value as a read-only array: a copy unless it is read-only already, so
+    # freezing it never freezes the caller's own array
+    arr = np.asarray(value, dtype=dtype)
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class NormalModeSet:
     """A sorted normal-mode spectrum with its particle weights.
@@ -124,10 +134,8 @@ class NormalModeSet:
 
     def __post_init__(self) -> None:
         freq, wts = _checked_modes(self.frequencies, self.weights)
-        freq.setflags(write=False)
-        wts.setflags(write=False)
-        object.__setattr__(self, "frequencies", freq)
-        object.__setattr__(self, "weights", wts)
+        object.__setattr__(self, "frequencies", _frozen(freq))
+        object.__setattr__(self, "weights", _frozen(wts))
 
     @property
     def n_modes_total(self) -> int:

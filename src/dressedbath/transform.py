@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InputError, NumericalFailure
 from .model import OhmicSystemSpec, derive_parameters
-from .spectrum import ModeSource, NormalModeSet
+from .spectrum import ModeSource, NormalModeSet, _frozen
 
 __all__ = [
     "TransformMatrix",
@@ -51,12 +51,11 @@ class TransformMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.entries, dtype=float)
+        t = _frozen(self.entries)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise InputError("transform entries must form a square matrix")
         if not np.all(np.isfinite(t)):
             raise InputError("transform entries must be finite")
-        t.setflags(write=False)
         object.__setattr__(self, "entries", t)
 
 
@@ -106,6 +105,8 @@ def finite_matrix(spec: OhmicSystemSpec, modes: NormalModeSet) -> TransformMatri
         raise NumericalFailure(
             f"transform columns miss orthonormality by {gram_err:.3e}"
         )
+    # read-only already, so the record keeps it without an O(N**2) copy
+    t.setflags(write=False)
     return TransformMatrix(entries=t)
 
 

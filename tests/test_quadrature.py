@@ -140,3 +140,76 @@ def test_batched_call_needs_one_edge_list_per_time():
         adaptive_gk(np.exp, [[0.0, 1.0]], 1e-9, times=[1.0, 2.0])
     with pytest.raises(NumericalFailure):
         adaptive_gk(np.exp, [[0.0, 1.0], [1.0, 0.0]], 1e-9, times=[1.0, 2.0])
+
+
+def _reference_panels(func, lefts, rights, freqs=None):
+    # the panel-major (P, 15) einsum formulation that the node-major kernel
+    # must reproduce bit for bit
+    q = quadrature
+    centers = 0.5 * (lefts + rights)
+    halves = 0.5 * (rights - lefts)
+    nodes = centers[:, None] + halves[:, None] * q._NODES[None, :]
+    fvals = np.asarray(func(nodes.ravel())).reshape(nodes.shape)
+    if freqs is not None:
+        arg = (halves * freqs)[:, None] * q._XGK_HALF[None, :7]
+        phase = np.empty(nodes.shape, dtype=complex)
+        np.cos(arg, out=phase.real[:, :7])
+        np.sin(arg, out=phase.imag[:, :7])
+        phase[:, 7] = 1.0
+        phase.real[:, 8:] = phase.real[:, 6::-1]
+        np.negative(phase.imag[:, 6::-1], out=phase.imag[:, 8:])
+        arg = centers * freqs
+        center = np.empty(arg.shape, dtype=complex)
+        np.cos(arg, out=center.real)
+        np.sin(arg, out=center.imag)
+        np.negative(center.imag, out=center.imag)
+        phase *= center[:, None]
+        phase *= fvals
+        fvals = phase
+    kron = halves * np.einsum("ij,j->i", fvals, q._WGK)
+    gauss = halves * np.einsum("ij,j->i", fvals[:, q._GAUSS_IDX], q._WG)
+    return kron, np.abs(kron - gauss)
+
+
+def _seeded_panels(rng, n_panels):
+    # the first panels are equal parts of one gap, as split_to_width cuts
+    # them (so their widths repeat), the rest have random widths
+    equal = split_to_width([0.0, rng.uniform(1.0, 30.0)], rng.uniform(0.05, 2.0))
+    n_equal = min(equal.size - 1, n_panels // 2)
+    lefts = np.concatenate((equal[:n_equal], rng.uniform(0.0, 40.0, n_panels - n_equal)))
+    rights = np.concatenate((equal[1:n_equal + 1],
+                             lefts[n_equal:] + rng.exponential(0.5, n_panels - n_equal)))
+    return lefts, rights
+
+
+_KERNEL_INTEGRANDS = {
+    # a real integrand phased by the times, with exact zeros of either sign
+    "complex-with-times": (lambda w: np.where(w % 3.0 < 0.2, -0.0 * w, 1.0 / (1.0 + w * w)), True),
+    "real": (lambda w: np.sin(3.0 * w) / (1.0 + w), False),
+    "complex-without-times": (lambda w: np.exp(-1j * w) * np.where(w % 2.0 < 0.3, 0.0, w), False),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KERNEL_INTEGRANDS))
+@pytest.mark.parametrize("n_panels", [1, 2, 15, 700, 4500])
+def test_panel_kernel_matches_the_panel_major_einsum_bitwise(kind, n_panels):
+    func, with_times = _KERNEL_INTEGRANDS[kind]
+    rng = np.random.default_rng(n_panels)
+    for _ in range(3):
+        lefts, rights = _seeded_panels(rng, n_panels)
+        freqs = None
+        if with_times:
+            freqs = rng.choice([0.0, 0.37, 5.0, 41.5, 200.0], n_panels)
+        got = quadrature._eval_panels(func, lefts, rights, freqs)
+        want = _reference_panels(func, lefts, rights, freqs)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def test_distinct_matches_numpy_unique():
+    rng = np.random.default_rng(11)
+    for size in (0, 1, 2, 50, 3000):
+        values = rng.choice(rng.normal(size=max(1, size // 7)), size)
+        got, inverse = quadrature._distinct(values)
+        want, want_inverse = np.unique(values, return_inverse=True)
+        assert np.array_equal(got, want) and np.array_equal(inverse, want_inverse)

@@ -1,6 +1,6 @@
 """The benchmark harness's tracer names layers that still exist, every
 export list names something real, no private name is dead, and the
-package's import stays light."""
+package's import and first calls stay light."""
 
 import ast
 import importlib
@@ -86,3 +86,24 @@ def test_cli_import_pulls_in_no_process_pools():
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_mode_sums_and_quadrature_leave_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, about 12 ms of a fresh
+    # process; the package finds distinct values without it
+    code = (
+        "import sys, numpy as np, dressedbath as db\n"
+        "spec = db.OhmicSystemSpec.from_dimensionless("
+        "beta=0.3, delta=0.05, n_modes=40, light_speed=1.0)\n"
+        "t = np.linspace(0.0, 20.0, 30)\n"
+        "db.f00_quadrature(spec, t)\n"
+        "modes = db.solve_finite_spectrum(spec)\n"
+        "db.f00_discrete(modes, modes.weights, t)\n"
+        "cav = db.solve_cavity_spectrum(spec, k_max=200)\n"
+        "db.cavity_survival_series((cav.weights[0], cav.weights[1:]), cav.frequencies, t)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
