@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import InputError, NumericalFailure
 from .model import OhmicSystemSpec, RegimeKind, classify_regime
-from .quadrature import _distinct, adaptive_gk, split_to_width
+from .quadrature import _distinct, adaptive_gk
 from .special import ei_scaled, exp1_scaled
 from .spectrum import NormalModeSet, _checked_modes, _frozen
 
@@ -306,24 +306,6 @@ def _tail_derivatives(w0: np.ndarray, bar_sq: float, g: float):
     return f_derivs
 
 
-def _panel_edges(head_edges: np.ndarray, w_tail: np.ndarray, t: np.ndarray):
-    # one edge list per time: head_edges, then w_tail where it lies above
-    # them, split into panels at most half a period pi/t wide.  All times'
-    # knots go through one split_to_width call laid end to end; the gap
-    # from one time's last knot down to the next time's first gets an
-    # infinite width, so it stays whole and the lists part where edges drop.
-    n = head_edges.size
-    knots = np.empty((t.size, n + 1))
-    knots[:, :n] = head_edges
-    knots[:, n] = w_tail
-    keep = np.ones(knots.shape, dtype=bool)
-    keep[:, n] = w_tail > head_edges[-1]
-    caps = np.broadcast_to((math.pi / t)[:, None], knots.shape)[keep][:-1].copy()
-    caps[np.cumsum(keep.sum(axis=1))[:-1] - 1] = np.inf
-    edges = split_to_width(knots[keep], caps)
-    return np.split(edges, np.flatnonzero(np.diff(edges) < 0.0) + 1)
-
-
 def _f00_at_zero(g: float, bar_sq: float, w_top: float, density, head_edges):
     head, err_h = adaptive_gk(density, head_edges, 0.5 * _QUAD_TARGET)
     # substitute u = 1/w on [w_top, inf): the image integrand is smooth
@@ -362,6 +344,10 @@ def _f00_oscillating(g: float, bar_sq: float, w_top: float, density, head_edges,
             f"more than the {_MAX_GRID_PANELS} that run in about 10 s; use fewer "
             "samples or a smaller t_max"
         )
+    # each time's breakpoints: head_edges, then w_tail where it lies above them
+    knots = np.empty((t.size, head_edges.size + 1))
+    knots[:, :-1] = head_edges
+    knots[:, -1] = w_tail
     head = np.empty(t.shape, dtype=complex)
     err_h = np.empty(t.shape)
     starts = np.cumsum(n_panels) - n_panels
@@ -371,7 +357,7 @@ def _f00_oscillating(g: float, bar_sq: float, w_top: float, density, head_edges,
         for idx in np.split(np.arange(lo, hi), np.flatnonzero(np.diff(batch)) + 1):
             head[idx], err_h[idx] = adaptive_gk(
                 density,
-                _panel_edges(head_edges, w_tail[idx], t[idx]),
+                [k if k[-1] > k[-2] else k[:-1] for k in knots[idx]],
                 0.5 * _QUAD_TARGET,
                 times=t[idx],
             )
@@ -398,19 +384,24 @@ def f00_quadrature(spec: OhmicSystemSpec, times) -> AmplitudeSeries:
     """Survival amplitude by direct continuum integration.
 
     Aims at 1e-9 absolute accuracy per time point and raises
-    NumericalFailure if the internal error estimate ever exceeds 1e-7.
+    NumericalFailure if the internal error estimate ever exceeds 1e-7 or
+    is not a number.
     Work and memory per time point grow as t*(4*bar_omega + 4*pi*g)/pi
     initial panels.  A time that needs more than 2**20 of them, or a grid
     that needs more than 2**23 in all (about 10 s of work), raises
-    InputError before any quadrature runs.  Grids of at least 8192 initial
-    panels run on the CPUs the process may use, in contiguous time ranges
-    of at least 4096 panels each, with no setting; the bytes do not depend
-    on how many CPUs there are.
+    InputError before any quadrature runs, and so does a positive time
+    below 1e-8/(4*bar_omega + 4*pi*g), whose widest panel both rules read
+    as about 0.  Grids of at least 8192 initial panels run on the CPUs the
+    process may use, in contiguous time ranges of at least 4096 panels
+    each, with no setting; the bytes do not depend on how many CPUs there
+    are.
     """
     t_arr = _validate_times(times)
     bar_sq = spec.bar_omega * spec.bar_omega
     a = 0.5 * math.pi * spec.g
     w_top = 4.0 * spec.bar_omega + 8.0 * a
+    if np.any((t_arr > 0.0) & (t_arr < 1e-8 / w_top)):
+        raise InputError(f"continuum quadrature needs t = 0 or t >= {1e-8 / w_top:.6g}")
     setup = (spec.g, bar_sq, w_top, _weight_density(bar_sq, spec.g),
              _head_edges(spec.bar_omega, a, w_top))
     values = np.empty(t_arr.shape, dtype=complex)
@@ -422,9 +413,9 @@ def f00_quadrature(spec: OhmicSystemSpec, times) -> AmplitudeSeries:
     if zero.any():
         values[zero], errors[zero] = _f00_at_zero(*setup)
     worst = errors.max()
-    if worst > _QUAD_HARD_LIMIT:
+    if not worst <= _QUAD_HARD_LIMIT:
         raise NumericalFailure(
-            f"continuum quadrature error estimate {worst:.3e} exceeds 1e-7"
+            f"continuum quadrature error estimate {worst:.3e} is not within 1e-7"
         )
     return AmplitudeSeries(
         times=t_arr,

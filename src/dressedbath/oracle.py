@@ -48,17 +48,6 @@ _MAX_SWEEPS = 100
 _MAX_DENSE_MODES = 400
 
 
-def _frozen_square(name, value, dim=None) -> np.ndarray:
-    m = _spectrum._frozen(value)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputError(f"{name} must be square")
-    if dim is not None and m.shape[0] != dim:
-        raise InputError(f"{name} must have the dimension of the potential matrix")
-    if not np.all(np.isfinite(m)):
-        raise InputError(f"{name} must be finite")
-    return m
-
-
 @dataclass(frozen=True, eq=False)
 class PotentialMatrix:
     """Symmetric positive-definite quadratic form of the coupled system.
@@ -71,13 +60,14 @@ class PotentialMatrix:
     factor: np.ndarray
 
     def __post_init__(self) -> None:
-        m = _frozen_square("potential matrix", self.entries)
+        m = _spectrum._frozen_square("potential matrix", self.entries)
         if not np.array_equal(m, m.T):
             raise InputError("potential matrix must be exactly symmetric")
+        c = _spectrum._frozen_square("factor", self.factor)
+        if c.shape != m.shape:
+            raise InputError("factor must have the dimension of the potential matrix")
         object.__setattr__(self, "entries", m)
-        object.__setattr__(
-            self, "factor", _frozen_square("factor", self.factor, m.shape[0])
-        )
+        object.__setattr__(self, "factor", c)
 
     @property
     def dim(self) -> int:

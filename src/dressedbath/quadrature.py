@@ -15,13 +15,14 @@ magnitude, so the estimate is deliberately conservative.  On a panel half
 a period of e^{-i w t} wide the G7 error is ~6e-13 of the panel's integral
 of |e^{-i w t}| and the K15 error is at rounding level; over a full period
 G7 is off by ~8e-9, so refinement would split such panels again.  That is
-why callers cap Fourier panels at half a period.
+why the Fourier mode (``times=``, below) cuts its panels at half a period.
 
 ``adaptive_gk(func, edges_per_time, tol, times=t)`` integrates
-func(w)*exp(-i*w*t_k) for many times in one pass: the phase is applied per
-panel, while refinement, tolerance and the left-to-right summation stay
-per time, so a time's value is bit-identical whichever times share its
-call.  func stays a one-argument vectorized function of w.
+func(w)*exp(-i*w*t_k) for many times in one pass: each time's breakpoints
+are cut into panels at most pi/t_k wide, the phase is applied per panel,
+and refinement, tolerance and the left-to-right summation stay per time,
+so a time's value is bit-identical whichever times share its call.  func
+stays a one-argument vectorized function of w.
 
 A pass holds its P panels node-major: nodes and integrand values as 15
 rows of P, one row per node, so each step below is a contiguous operation
@@ -34,11 +35,13 @@ buffers of P values, so no (15, P) complex array is ever held.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NumericalFailure
 
-__all__ = ["adaptive_gk", "split_to_width"]
+__all__ = ["adaptive_gk"]
 
 # 15-point Kronrod abscissae (nonnegative half) and weights, with the
 # embedded 7-point Gauss weights; values as tabulated in QUADPACK's dqk15.
@@ -86,7 +89,7 @@ def _phased_rows(fvals, centers, halves, freqs):
     # yields f(w) e^{-i w t} at each node in turn, as one row of P panels
     # in the same buffer.  e^{-i w t} at w = c + h*x is e^{-i c t} times
     # e^{-i h t x}, and the nodes pair up as +-x, so 7 offsets per distinct
-    # width h*t give the second factor of every panel: split_to_width cuts
+    # width h*t give the second factor of every panel: the Fourier mode cuts
     # a gap into equal parts, so a batch holds about a tenth as many
     # distinct h*t as panels.  Widths are told apart by their bits, so +0.0
     # and -0.0 stay apart.  glibc's cexp of 0 - i*y is cos(y) - i*sin(y)
@@ -172,11 +175,12 @@ def adaptive_gk(func, edges, tol_abs, times=None):
     non-finite integrand values.
 
     With ``times`` (a 1d array) the call integrates func(w)*exp(-i*w*t_k)
-    for every t_k at once: ``edges`` then holds one edge list per time and
-    ``tol_abs`` is one tolerance or one per time, and the return value is
-    the pair of arrays (values, error_estimates).  Tolerance, panel budget,
-    refinement and summation stay per time, so each result is bit-identical
-    to a call with that time alone.
+    for every t_k at once: ``edges`` then holds one list of breakpoints per
+    time, each gap of which is cut into equal panels at most half a period
+    pi/|t_k| wide, and ``tol_abs`` is one tolerance or one per time.  The
+    return value is the pair of arrays (values, error_estimates).
+    Tolerance, panel budget, refinement and summation stay per time, so
+    each result is bit-identical to a call with that time alone.
     """
     groups = [np.asarray(e, dtype=float) for e in ([edges] if times is None else edges)]
     if times is not None:
@@ -196,12 +200,17 @@ def adaptive_gk(func, edges, tol_abs, times=None):
     if np.any(rights <= lefts):
         raise NumericalFailure("panel edges must be strictly increasing")
     owner = np.repeat(np.arange(n_groups), sizes - 1)
+    if times is not None:
+        with np.errstate(divide="ignore"):
+            cap = math.pi / np.abs(times)
+        lefts, rights, gap = _split_to_width(lefts, rights, cap[owner])
+        owner = owner[gap]
 
-    def evaluate(lo, hi, who):
-        return _eval_panels(func, lo, hi, None if times is None else times[who])
+    def evaluate(at):
+        return _eval_panels(func, lefts[at], rights[at],
+                            None if times is None else times[owner[at]])
 
-    vals, errs = evaluate(lefts, rights, owner)
-    split = False
+    vals, errs = evaluate(slice(None))
     for _ in range(_REFINE_ROUNDS):
         if not np.all(np.isfinite(errs)):
             raise NumericalFailure("integrand produced non-finite values")
@@ -209,29 +218,26 @@ def adaptive_gk(func, edges, tol_abs, times=None):
         open_ = (np.bincount(owner, errs, n_groups) > tol) & (count < _PANEL_BUDGET)
         if not open_.any():
             break
-        split = True
         # every panel below tol/(2n) is fine as is; if all of an open
         # group's were, its total would already be under tol/2, so at least
         # one of its panels splits here.
         bad = open_[owner] & (errs > (tol / (2.0 * count))[owner])
-        mids = 0.5 * (lefts[bad] + rights[bad])
-        new_lefts = np.concatenate((lefts[bad], mids))
-        new_rights = np.concatenate((mids, rights[bad]))
-        new_owner = np.concatenate((owner[bad], owner[bad]))
-        new_vals, new_errs = evaluate(new_lefts, new_rights, new_owner)
-        lefts = np.concatenate((lefts[~bad], new_lefts))
-        rights = np.concatenate((rights[~bad], new_rights))
-        owner = np.concatenate((owner[~bad], new_owner))
-        vals = np.concatenate((vals[~bad], new_vals))
-        errs = np.concatenate((errs[~bad], new_errs))
+        # each bad panel takes two slots in place, its halves, so the panels
+        # stay in canonical order: left to right within each group
+        first = np.flatnonzero(bad)
+        first += np.arange(first.size)
+        lefts, rights, owner, vals, errs = (
+            np.repeat(a, bad + 1) for a in (lefts, rights, owner, vals, errs))
+        mids = 0.5 * (lefts[first] + rights[first])
+        rights[first] = mids
+        lefts[first + 1] = mids
+        halves = np.concatenate((first, first + 1))
+        vals[halves], errs[halves] = evaluate(halves)
     if not np.all(np.isfinite(vals)):
         raise NumericalFailure("integrand produced non-finite values")
-    # canonical summation order: left to right within each group,
-    # independent of the split history and of the other groups, so
-    # identical inputs give bit-identical sums.  The initial panels come in
-    # that order; only split halves, appended at the end, need the sort.
-    if split:
-        vals = vals[np.lexsort((lefts, owner))]
+    # summed left to right within each group, independent of the split
+    # history and of the other groups, so identical inputs give
+    # bit-identical sums
     ends = np.cumsum(np.bincount(owner, minlength=n_groups)).tolist()
     values = np.array([vals[a:b].sum() for a, b in zip([0] + ends[:-1], ends)])
     errors = np.bincount(owner, errs, n_groups)
@@ -240,18 +246,18 @@ def adaptive_gk(func, edges, tol_abs, times=None):
     return values, errors
 
 
-def split_to_width(edges, max_width):
-    """Refine a boundary list so no panel is wider than max_width.
-
-    max_width is one width or one per gap.  Each gap is cut into n equal
-    parts at left + i*step, step = (right - left)/n, the same arithmetic as
-    np.linspace; a gap that is not positive stays one part.
-    """
-    edges = np.asarray(edges, dtype=float)
-    lefts = edges[:-1]
-    widths = edges[1:] - lefts
+def _split_to_width(lefts, rights, max_width):
+    # cuts each panel [lefts, rights] into n equal parts no wider than
+    # max_width (one width or one per panel), at left + i*step with
+    # step = (right - left)/n, the arithmetic of np.linspace; the last part
+    # ends on right itself.  Returns the parts' lefts and rights and the
+    # index of the panel each came from.
+    widths = rights - lefts
     n_sub = np.maximum(np.ceil(widths / max_width).astype(int), 1)
     gap = np.repeat(np.arange(lefts.size), n_sub)
-    i = np.arange(gap.size) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
-    return np.concatenate((lefts[gap] + i * (widths / n_sub)[gap], edges[-1:]))
-
+    ends = np.cumsum(n_sub)
+    i = np.arange(gap.size) - np.repeat(ends - n_sub, n_sub)
+    new_lefts = lefts[gap] + i * (widths / n_sub)[gap]
+    new_rights = np.append(new_lefts[1:], 0.0)
+    new_rights[ends - 1] = rights
+    return new_lefts, new_rights, gap

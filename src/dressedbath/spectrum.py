@@ -118,6 +118,16 @@ def _frozen(value, dtype=float) -> np.ndarray:
     return arr
 
 
+def _frozen_square(name, value) -> np.ndarray:
+    # value frozen as above and checked to be a finite square matrix
+    m = _frozen(value)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InputError(f"{name} must be a square matrix")
+    if not np.all(np.isfinite(m)):
+        raise InputError(f"{name} must be finite")
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class NormalModeSet:
     """A sorted normal-mode spectrum with its particle weights.
@@ -229,10 +239,12 @@ def solve_finite_spectrum(spec: OhmicSystemSpec) -> NormalModeSet:
 
     solved by ``_bracketed_roots`` from the start arccot(A(j))/pi; the
     particle weight 1/(1 + e**2 * sum_k k**2/(k**2 - u**2)**2) collapses
-    the same way.  Each of these lanes costs O(1).  The gap below the
-    ladder and the one above it, where psi(N+1-u) has poles, keep the
-    direct O(N) sum.  The whole solve is O(N) in time and memory, and
-    n_modes above 10**6 raises InputError before any work starts.
+    the same way.  Each of these lanes costs O(1).  The gap above the
+    ladder, where psi(N+1-u) has poles, keeps the direct O(N) sum, and so
+    does the gap below it: there A has a 1/u pole that is no ladder pole,
+    so a root near 0 cancels two 1/u terms and its weight two 1/u**2 ones.
+    The whole solve is O(N) in time and memory, and n_modes above 10**6
+    raises InputError before any work starts.
     """
     n = spec.n_modes
     if n > _MAX_FINITE_MODES:
@@ -256,9 +268,10 @@ def solve_finite_spectrum(spec: OhmicSystemSpec) -> NormalModeSet:
 
 
 def _finite_bulk_roots(n, b, e_sq):
-    # gaps j = 1..n-1 in eps = u - j; n+1-u stays at least 2, so the
-    # digamma tail has no pole.  Every difference is formed from j and eps
-    # apart, so a root hugging a pole keeps its distance to it.
+    # gaps j = 1..n-1 in eps = u - j; n+1-u stays above 1 (in (1, 2] at
+    # j = n-1), so the digamma tail has no pole.  Every difference is
+    # formed from j and eps apart, so a root hugging a pole keeps its
+    # distance to it.
     j = np.arange(1.0, n)
     lin = 2.0 / (math.pi * e_sq)
     inv = 2.0 * b * b / (math.pi * e_sq) - 1.0 / math.pi

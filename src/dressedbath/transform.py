@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InputError, NumericalFailure
 from .model import OhmicSystemSpec, derive_parameters
-from .spectrum import ModeSource, NormalModeSet, _frozen
+from .spectrum import ModeSource, NormalModeSet, _frozen_square
 
 __all__ = [
     "TransformMatrix",
@@ -51,12 +51,7 @@ class TransformMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        t = _frozen(self.entries)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise InputError("transform entries must form a square matrix")
-        if not np.all(np.isfinite(t)):
-            raise InputError("transform entries must be finite")
-        object.__setattr__(self, "entries", t)
+        object.__setattr__(self, "entries", _frozen_square("transform entries", self.entries))
 
 
 @dataclass(frozen=True)

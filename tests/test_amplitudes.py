@@ -471,6 +471,26 @@ def test_quadrature_refuses_oversized_time_grids():
     assert time.perf_counter() - start < 0.5
 
 
+def test_quadrature_refuses_times_below_its_floor():
+    # at t = 1e-12 the panel past w_top is so wide that both of its rules
+    # read about 0: the value was 0.9223 against 1.0, with a small estimate
+    spec = _unit_spec(0.3)
+    with pytest.raises(InputError, match="needs t = 0 or t >="):
+        f00_quadrature(spec, [0.0, 1e-12, 1.0])
+    floor = 1e-8 / (4.0 + 4.0 * math.pi * 0.3)
+    quad = f00_quadrature(spec, [1.0000001 * floor])
+    assert abs(quad.values[0] - f00_closed(spec, quad.times).values[0]) < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_quadrature_refuses_a_nan_error_estimate():
+    # at bar_omega = 1e80 the analytic tail overflows to NaN, whose
+    # estimate compares False with any limit
+    spec = OhmicSystemSpec(bar_omega=1e80, g=0.3e80, cavity_L=1.0, light_speed=1.0)
+    with pytest.raises(NumericalFailure, match="estimate nan"):
+        f00_quadrature(spec, np.linspace(0.0, 30.0 / spec.bar_omega, 7))
+
+
 @pytest.mark.parametrize("g", BETAS)
 def test_closed_form_matches_quadrature(g):
     spec = _unit_spec(g)

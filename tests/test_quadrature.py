@@ -5,7 +5,7 @@ import pytest
 
 from dressedbath import quadrature
 from dressedbath.errors import NumericalFailure
-from dressedbath.quadrature import adaptive_gk, split_to_width
+from dressedbath.quadrature import adaptive_gk
 
 
 def test_polynomial_exactness():
@@ -71,8 +71,16 @@ def test_determinism():
     assert v1 == v2 and e1 == e2
 
 
+def _split_to_width(edges, max_width):
+    # the private cutter's panels as one boundary list
+    edges = np.asarray(edges, dtype=float)
+    lefts, rights, _ = quadrature._split_to_width(edges[:-1], edges[1:], max_width)
+    assert np.array_equal(rights[:-1], lefts[1:])
+    return np.append(lefts, rights[-1])
+
+
 def test_split_to_width():
-    edges = split_to_width([0.0, 1.0, 10.0], 0.7)
+    edges = _split_to_width([0.0, 1.0, 10.0], 0.7)
     assert edges[0] == 0.0 and edges[-1] == 10.0
     assert np.all(np.diff(edges) > 0)
     assert np.max(np.diff(edges)) <= 0.7 + 1e-12
@@ -80,7 +88,7 @@ def test_split_to_width():
 
 
 def _split_by_linspace(edges, max_width):
-    # the per-gap definition split_to_width must reproduce bit for bit
+    # the per-gap definition the cutter must reproduce bit for bit
     edges = np.asarray(edges, dtype=float)
     pieces = []
     for left, right in zip(edges[:-1], edges[1:]):
@@ -96,7 +104,7 @@ def test_split_to_width_matches_linspace_definition():
         n = int(rng.integers(2, 30))
         edges = np.cumsum(rng.exponential(1.0, n) * 10.0 ** rng.uniform(-3, 3, n))
         width = 10.0 ** rng.uniform(-3, 2)
-        new = split_to_width(edges, width)
+        new = _split_to_width(edges, width)
         assert np.array_equal(new, _split_by_linspace(edges, width))
 
 
@@ -105,21 +113,44 @@ def test_batched_fourier_call_matches_scalar_calls():
     edges = [np.linspace(0.0, 10.0, 3 + 5 * k) for k in range(times.size)]
     vals, errs = adaptive_gk(lambda w: 1.0 / (1.0 + w * w), edges, 1e-12, times=times)
     for t, e, v, err in zip(times, edges, vals, errs):
+        # the batched call cuts its panels to half a period pi/t first
         ref, ref_err = adaptive_gk(
-            lambda w: 1.0 / (1.0 + w * w) * np.exp(-1j * w * t), e, 1e-12)
+            lambda w: 1.0 / (1.0 + w * w) * np.exp(-1j * w * t),
+            _split_to_width(e, math.pi / t), 1e-12)
         assert v == pytest.approx(ref, abs=1e-15)
         assert err == pytest.approx(ref_err, abs=1e-15)
 
 
 def test_batched_fourier_call_of_a_constant():
     times = np.array([1e-3, 0.5, 1.0, 7.0, 40.0])
-    edges = [split_to_width([0.0, 1.0], math.pi / t) for t in times]
-    vals, errs = adaptive_gk(np.ones_like, edges, 1e-13, times=times)
+    vals, errs = adaptive_gk(np.ones_like, [[0.0, 1.0]] * times.size, 1e-13, times=times)
     # (1 - e^{-it})/(it), written as e^{-it/2} sin(t/2)/(t/2) so it does
     # not cancel at small t
     exact = np.exp(-0.5j * times) * np.sinc(times / (2.0 * math.pi))
     assert np.max(np.abs(vals - exact)) < 2e-15
     assert np.all(errs <= 1e-13)
+
+
+def test_batched_call_cuts_breakpoints_into_half_periods():
+    # the first pass evaluates 15 nodes on each of ceil(width*t/pi) equal
+    # panels per gap, all at most pi/t wide
+    calls = []
+
+    def counted(w):
+        calls.append(w.copy())
+        return np.ones_like(w)
+
+    times = np.array([0.5, 7.0, 40.0])
+    edges = [[0.0, 10.0], [0.0, 2.0, 10.0], [0.0, 10.0]]
+    adaptive_gk(counted, edges, 1e-13, times=times)
+    want = [sum(math.ceil(width * t / math.pi) for width in np.diff(e))
+            for t, e in zip(times, edges)]
+    assert calls[0].size == 15 * sum(want)
+    nodes = calls[0].reshape(15, -1)
+    assert np.all(nodes.min(axis=0) >= 0.0) and np.all(nodes.max(axis=0) <= 10.0)
+    span = nodes.max(axis=0) - nodes.min(axis=0)
+    owner = np.repeat(np.arange(times.size), want)
+    assert np.all(span < math.pi / times[owner])
 
 
 def test_batched_refinement_is_per_time():
@@ -172,9 +203,9 @@ def _reference_panels(func, lefts, rights, freqs=None):
 
 
 def _seeded_panels(rng, n_panels):
-    # the first panels are equal parts of one gap, as split_to_width cuts
+    # the first panels are equal parts of one gap, as the Fourier mode cuts
     # them (so their widths repeat), the rest have random widths
-    equal = split_to_width([0.0, rng.uniform(1.0, 30.0)], rng.uniform(0.05, 2.0))
+    equal = _split_to_width([0.0, rng.uniform(1.0, 30.0)], rng.uniform(0.05, 2.0))
     n_equal = min(equal.size - 1, n_panels // 2)
     lefts = np.concatenate((equal[:n_equal], rng.uniform(0.0, 40.0, n_panels - n_equal)))
     rights = np.concatenate((equal[1:n_equal + 1],
