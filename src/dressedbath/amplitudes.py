@@ -12,7 +12,7 @@ evaluated three independent ways:
   exp(-i*w*t): adaptive Gauss-Kronrod over [0, w_tail] on panels at most
   half a period pi/t wide, many time points per batched pass, plus an
   integrated-by-parts analytic tail beyond w_tail (at t = 0 the tail is
-  integrated in u = 1/w instead);
+  integrated in 1/w instead);
 * ``f00_closed``     pole terms plus the branch-cut integral J(t).
 
 The branch-cut piece
@@ -25,7 +25,10 @@ regimes.  Where the denominator has real roots it is read as a principal
 value at a simple root (overdamped) and as a finite part at the double root
 (critical); the exponential-integral forms carry that sense.
 ``bath_integral_J`` exposes them, and audits them by one quadrature of the
-definition along a path that dips below the real roots.
+definition along a path that dips below the real roots.  The continuum
+routes work in units of bar_omega: f00 and J depend only on beta =
+g/bar_omega and tau = bar_omega*t, so each public entry turns (spec, t)
+into (beta, tau) once, no helper sees bar_omega, and no scale overflows.
 
 The cavity helpers at the bottom quantify confinement: the survival series
 over the discrete cavity ladder, its worst-case lower bound in delta, and
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalFailure
-from .model import OhmicSystemSpec, RegimeKind, classify_regime
+from .model import OhmicSystemSpec, RegimeKind, _damping
 from .quadrature import _distinct, adaptive_gk
 from .special import ei_scaled, exp1_scaled
 from .spectrum import NormalModeSet, _checked_modes, _frozen
@@ -249,24 +252,24 @@ def f00_discrete(modes: NormalModeSet, weights, times) -> AmplitudeSeries:
 # continuum quadrature
 # ---------------------------------------------------------------------------
 
-def _weight_density(bar_sq: float, g: float):
-    # 2g w**2 / ((w**2 - bar_sq)**2 + (pi g)**2 w**2): the same operations
-    # in the same order, in the two rows of one block; forming w**2 anew
+def _weight_density(beta: float):
+    # 2 beta u**2 / ((u**2 - 1)**2 + (pi beta)**2 u**2): the same operations
+    # in the same order, in the two rows of one block; forming u**2 anew
     # costs less than a third buffer.  Freed as one block, the rows raise
     # glibc's trim threshold far enough that the heap keeps their pages for
     # the next call: on a continuum_decay round (2-core x86 VM) that saved
     # about 20k page faults and a third of the density time.
-    scale, damping = 2.0 * g, (math.pi * g) ** 2
+    scale, damping = 2.0 * beta, (math.pi * beta) ** 2
 
-    def density(w):
-        den, out = np.empty((2, w.size))
-        np.multiply(w, w, out=den)
-        den -= bar_sq
+    def density(u):
+        den, out = np.empty((2, u.size))
+        np.multiply(u, u, out=den)
+        den -= 1.0
         den *= den
-        np.multiply(w, w, out=out)
+        np.multiply(u, u, out=out)
         out *= damping
         den += out
-        np.multiply(w, w, out=out)
+        np.multiply(u, u, out=out)
         out *= scale
         out /= den
         return out
@@ -274,29 +277,28 @@ def _weight_density(bar_sq: float, g: float):
     return density
 
 
-def _head_edges(bar_omega: float, a: float, w_top: float) -> np.ndarray:
-    # structural breakpoints: half-width multiples around the resonance at
-    # bar_omega (the peak has width ~a = pi*g/2) plus coarse anchors.
-    raw = [0.0, 0.5 * bar_omega, 2.0 * bar_omega, 3.0 * bar_omega, w_top]
-    for m in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0):
-        raw.append(bar_omega - m * a)
-        raw.append(bar_omega + m * a)
-    pts = _distinct(np.clip(np.asarray(raw), 0.0, w_top))[0]
+def _head_edges(a: float) -> np.ndarray:
+    # structural breakpoints up to w_top = 4 + 8a: half-width multiples
+    # around the resonance at 1 (its width is ~a = pi*beta/2), coarse anchors
+    w_top = 4.0 + 8.0 * a
+    offsets = a * np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
+    raw = np.concatenate(([0.0, 0.5, 2.0, 3.0, w_top], 1.0 - offsets, 1.0 + offsets))
+    pts = _distinct(np.clip(raw, 0.0, w_top))[0]
     return pts[np.concatenate(([True], np.diff(pts) > 1e-9 * w_top))]
 
 
-def _tail_derivatives(w0: np.ndarray, bar_sq: float, g: float):
-    # F = N/D with N = 2g w**2; returns F, F', F'', F''', F'''' at each w0 by
-    # the Leibniz recurrence F^(n) = (N^(n) - sum_{j<n} C(n,j) F^(j) D^(n-j))/D.
-    pg_sq = (math.pi * g) ** 2
+def _tail_derivatives(u0: np.ndarray, beta: float):
+    # F = N/D with N = 2 beta u**2; returns F, F', F'', F''', F'''' at each
+    # u0 by the Leibniz recurrence F^(n) = (N^(n) - sum_{j<n} C(n,j) F^(j) D^(n-j))/D.
+    pb_sq = (math.pi * beta) ** 2
     d_derivs = [
-        (w0 * w0 - bar_sq) ** 2 + pg_sq * w0 * w0,
-        4.0 * w0 * (w0 * w0 - bar_sq) + 2.0 * pg_sq * w0,
-        12.0 * w0 * w0 - 4.0 * bar_sq + 2.0 * pg_sq,
-        24.0 * w0,
+        (u0 * u0 - 1.0) ** 2 + pb_sq * u0 * u0,
+        4.0 * u0 * (u0 * u0 - 1.0) + 2.0 * pb_sq * u0,
+        12.0 * u0 * u0 - 4.0 + 2.0 * pb_sq,
+        24.0 * u0,
         24.0,
     ]
-    n_derivs = [2.0 * g * w0 * w0, 4.0 * g * w0, 4.0 * g, 0.0, 0.0]
+    n_derivs = [2.0 * beta * u0 * u0, 4.0 * beta * u0, 4.0 * beta, 0.0, 0.0]
     f_derivs = []
     for n in range(5):
         acc = n_derivs[n]
@@ -306,52 +308,34 @@ def _tail_derivatives(w0: np.ndarray, bar_sq: float, g: float):
     return f_derivs
 
 
-def _f00_at_zero(g: float, bar_sq: float, w_top: float, density, head_edges):
-    head, err_h = adaptive_gk(density, head_edges, 0.5 * _QUAD_TARGET)
-    # substitute u = 1/w on [w_top, inf): the image integrand is smooth
-    # and bounded (-> 2g at u = 0), so plain panels close the total.
-    def flipped(u):
-        u_sq = u * u
-        return 2.0 * g / ((1.0 - bar_sq * u_sq) ** 2 + (math.pi * g) ** 2 * u_sq)
+def _f00_at_zero(beta: float, head_edges):
+    head, err_h = adaptive_gk(_weight_density(beta), head_edges, 0.5 * _QUAD_TARGET)
+    # substitute v = 1/u on [w_top, inf): the image integrand is smooth
+    # and bounded (-> 2 beta at v = 0), so plain panels close the total.
+    def flipped(v):
+        v_sq = v * v
+        return 2.0 * beta / ((1.0 - v_sq) ** 2 + (math.pi * beta) ** 2 * v_sq)
 
     tail, err_t = adaptive_gk(
-        flipped, np.linspace(0.0, 1.0 / w_top, 9), 0.5 * _QUAD_TARGET
+        flipped, np.linspace(0.0, 1.0 / head_edges[-1], 9), 0.5 * _QUAD_TARGET
     )
     return complex(head + tail), err_h + err_t
 
 
-def _f00_oscillating(g: float, bar_sq: float, w_top: float, density, head_edges, t):
-    # f00 and its error estimate at the positive times t
-    # analytic tail starts once the phase w*t clears `phase_min`, chosen so
-    # the four-term integration-by-parts remainder ~480 g t / phase**6 is
-    # negligible; below it, panels of at most half a period of e^{-i w t}
-    # cover [0, w_tail] (on those the Gauss error is ~6e-13 relative).
-    phase_min = np.maximum(256.0, (480.0 * g * t / (0.25 * _QUAD_TARGET)) ** (1.0 / 6.0))
-    w_tail = np.maximum(w_top, phase_min / t)
+def _f00_oscillating(beta: float, head_edges, tau, u_tail, n_panels):
+    # f00 and its error estimate at the positive times tau, with the analytic
+    # tail beyond u_tail; each time's n_panels initial panels cut its
+    # breakpoints: head_edges, then u_tail where it lies above them
+    density = _weight_density(beta)
+    knots = np.empty((tau.size, head_edges.size + 1))
+    knots[:, :-1] = head_edges
+    knots[:, -1] = u_tail
+    head = np.empty(tau.shape, dtype=complex)
+    err_h = np.empty(tau.shape)
+    starts = np.cumsum(n_panels) - n_panels
 
     # consecutive times share an adaptive pass until it holds about
     # _BATCH_PANELS initial panels, in each worker's range
-    n_panels = head_edges.size + w_tail * t / math.pi
-    if n_panels.max() > _MAX_PANELS:
-        raise InputError(
-            f"t = {t.max():.6g} needs {n_panels.max():.3g} quadrature panels, "
-            f"more than the {_MAX_PANELS} that fit in about 0.7 GB; keep t "
-            f"below {(_MAX_PANELS - head_edges.size) * math.pi / w_top:.6g} for this spec"
-        )
-    if n_panels.sum() > _MAX_GRID_PANELS:
-        raise InputError(
-            f"{t.size} time points need {n_panels.sum():.3g} quadrature panels in all, "
-            f"more than the {_MAX_GRID_PANELS} that run in about 10 s; use fewer "
-            "samples or a smaller t_max"
-        )
-    # each time's breakpoints: head_edges, then w_tail where it lies above them
-    knots = np.empty((t.size, head_edges.size + 1))
-    knots[:, :-1] = head_edges
-    knots[:, -1] = w_tail
-    head = np.empty(t.shape, dtype=complex)
-    err_h = np.empty(t.shape)
-    starts = np.cumsum(n_panels) - n_panels
-
     def run(lo, hi):
         batch = (starts[lo:hi] - starts[lo]) // _BATCH_PANELS
         for idx in np.split(np.arange(lo, hi), np.flatnonzero(np.diff(batch)) + 1):
@@ -359,7 +343,7 @@ def _f00_oscillating(g: float, bar_sq: float, w_top: float, density, head_edges,
                 density,
                 [k if k[-1] > k[-2] else k[:-1] for k in knots[idx]],
                 0.5 * _QUAD_TARGET,
-                times=t[idx],
+                times=tau[idx],
             )
 
     # contiguous ranges of about equal initial-panel count, at least
@@ -371,12 +355,12 @@ def _f00_oscillating(g: float, bar_sq: float, w_top: float, density, head_edges,
     _on_threads(run, n_panels, _BATCH_PANELS,
                 (_MAX_PANELS + _BATCH_PANELS) // (_BATCH_PANELS + n_panels.max()))
 
-    f_derivs = _tail_derivatives(w_tail, bar_sq, g)
-    it = 1j * t
-    tail = np.exp(-1j * w_tail * t) * (
+    f_derivs = _tail_derivatives(u_tail, beta)
+    it = 1j * tau
+    tail = np.exp(-1j * u_tail * tau) * (
         f_derivs[0] / it + f_derivs[1] / it**2 + f_derivs[2] / it**3 + f_derivs[3] / it**4
     )
-    err_t = 2.0 * np.abs(f_derivs[4]) / t**5
+    err_t = 2.0 * np.abs(f_derivs[4]) / tau**5
     return head + tail, err_h + err_t
 
 
@@ -397,21 +381,42 @@ def f00_quadrature(spec: OhmicSystemSpec, times) -> AmplitudeSeries:
     are.
     """
     t_arr = _validate_times(times)
-    bar_sq = spec.bar_omega * spec.bar_omega
-    a = 0.5 * math.pi * spec.g
-    w_top = 4.0 * spec.bar_omega + 8.0 * a
-    if np.any((t_arr > 0.0) & (t_arr < 1e-8 / w_top)):
-        raise InputError(f"continuum quadrature needs t = 0 or t >= {1e-8 / w_top:.6g}")
-    setup = (spec.g, bar_sq, w_top, _weight_density(bar_sq, spec.g),
-             _head_edges(spec.bar_omega, a, w_top))
+    beta, tau = spec.g / spec.bar_omega, spec.bar_omega * t_arr
+    head_edges = _head_edges(0.5 * math.pi * beta)
+    w_top = head_edges[-1]
+    if np.any((tau > 0.0) & (tau < 1e-8 / w_top)):
+        raise InputError("continuum quadrature needs t = 0 or "
+                         f"t >= {1e-8 / w_top / spec.bar_omega:.6g}")
     values = np.empty(t_arr.shape, dtype=complex)
     errors = np.empty(t_arr.shape)
-    zero = t_arr == 0.0
+    zero = tau == 0.0
     pos = ~zero
     if pos.any():
-        values[pos], errors[pos] = _f00_oscillating(*setup, t_arr[pos])
+        # the analytic tail starts once the phase u*tau clears `phase_min`, so
+        # the four-term integration-by-parts remainder ~480 beta tau/phase**6
+        # is negligible; below it, panels of at most half a period of
+        # e^{-i u tau} cover [0, u_tail] (Gauss error ~6e-13 relative on each)
+        tau_pos = tau[pos]
+        phase_min = np.maximum(
+            256.0, (480.0 * beta * tau_pos / (0.25 * _QUAD_TARGET)) ** (1.0 / 6.0))
+        u_tail = np.maximum(w_top, phase_min / tau_pos)
+        n_panels = head_edges.size + u_tail * tau_pos / math.pi
+        if not n_panels.max() <= _MAX_PANELS:
+            raise InputError(
+                f"t = {t_arr.max():.6g} needs {n_panels.max():.3g} quadrature panels, "
+                f"more than the {_MAX_PANELS} that fit in about 0.7 GB; keep t below "
+                f"{(_MAX_PANELS - head_edges.size) * math.pi / (w_top * spec.bar_omega):.6g}"
+                " for this spec"
+            )
+        if n_panels.sum() > _MAX_GRID_PANELS:
+            raise InputError(
+                f"{tau_pos.size} time points need {n_panels.sum():.3g} quadrature panels "
+                f"in all, more than the {_MAX_GRID_PANELS} that run in about 10 s; use "
+                "fewer samples or a smaller t_max"
+            )
+        values[pos], errors[pos] = _f00_oscillating(beta, head_edges, tau_pos, u_tail, n_panels)
     if zero.any():
-        values[zero], errors[zero] = _f00_at_zero(*setup)
+        values[zero], errors[zero] = _f00_at_zero(beta, head_edges)
     worst = errors.max()
     if not worst <= _QUAD_HARD_LIMIT:
         raise NumericalFailure(
@@ -436,34 +441,32 @@ _J_SERIES_EDGE = 60.0
 _J_SERIES = tuple(float(2 * m * math.factorial(2 * m)) for m in range(1, 15))
 
 
-def _denominator_roots(spec: OhmicSystemSpec):
-    # the regime, a = pi*g/2 and the roots p, q of J's denominator
-    # (y**2 - p**2)(y**2 - q**2): a +- i*kappa (underdamped), a twice
-    # (critical), or q = a + kappa and p = bar_omega**2/q (overdamped),
-    # which equals a - kappa without cancellation
-    regime = classify_regime(spec)
-    a = 0.5 * math.pi * spec.g
-    kappa = regime.kappa_abs
-    if regime.kind is RegimeKind.UNDERDAMPED:
-        return regime, a, complex(a, kappa), complex(a, -kappa)
-    if regime.kind is RegimeKind.CRITICAL:
-        return regime, a, a, a
+def _denominator_roots(beta: float):
+    # the regime's kind, a = pi*beta/2, kappa and the roots p, q of J's
+    # denominator (y**2 - p**2)(y**2 - q**2), in units of bar_omega:
+    # a +- i*kappa (underdamped), a twice (critical), or q = a + kappa and
+    # p = 1/q (overdamped), which equals a - kappa without cancellation
+    kind, kappa = _damping(beta)
+    a = 0.5 * math.pi * beta
+    if kind is RegimeKind.UNDERDAMPED:
+        return kind, a, kappa, complex(a, kappa), complex(a, -kappa)
+    if kind is RegimeKind.CRITICAL:
+        return kind, a, kappa, a, a
     q = a + kappa
-    return regime, a, spec.bar_omega**2 / q, q
+    return kind, a, kappa, 1.0 / q, q
 
 
-def _closed_form(spec: OhmicSystemSpec, t: np.ndarray):
-    # pole term and branch-cut integral J at the positive times t
-    regime, a, p, q = _denominator_roots(spec)
-    kappa = regime.kappa_abs
-    if regime.kind is RegimeKind.UNDERDAMPED:
-        z = p * t
+def _closed_form(beta: float, tau: np.ndarray):
+    # pole term and branch-cut integral J at the positive times tau
+    kind, a, kappa, p, q = _denominator_roots(beta)
+    if kind is RegimeKind.UNDERDAMPED:
+        z = p * tau
         pair = exp1_scaled(np.concatenate((-z, z)))
-        diff = pair[: t.size] - pair[t.size:]
+        diff = pair[: tau.size] - pair[tau.size:]
         pole = (1.0 - 1j * a / kappa) * np.exp(-z)
         return pole, (p * diff).imag / (math.pi * kappa)
-    if regime.kind is RegimeKind.CRITICAL:
-        x = a * t
+    if kind is RegimeKind.CRITICAL:
+        x = a * tau
         j = ((x - 1.0) * ei_scaled(x) - (x + 1.0) * np.real(exp1_scaled(x))) / math.pi
         far = x >= _J_SERIES_EDGE
         if far.any():
@@ -474,25 +477,24 @@ def _closed_form(spec: OhmicSystemSpec, t: np.ndarray):
                 total = total * r_sq + coef
             j[far] = (2.0 / math.pi) * r * r_sq * total
         return (1.0 - x) * np.exp(-x) + 0.0j, j
-    x = np.concatenate((q * t, p * t))
+    x = np.concatenate((q * tau, p * tau))
     s = ei_scaled(x) + np.real(exp1_scaled(x))
     e = np.exp(-x)
-    pole = (q * e[: t.size] - p * e[t.size:]) / (2.0 * kappa) + 0.0j
-    return pole, -(q * s[: t.size] - p * s[t.size:]) / (2.0 * math.pi * kappa)
+    pole = (q * e[: tau.size] - p * e[tau.size:]) / (2.0 * kappa) + 0.0j
+    return pole, -(q * s[: tau.size] - p * s[tau.size:]) / (2.0 * math.pi * kappa)
 
 
-def _j_quadrature(spec: OhmicSystemSpec, t: float) -> float:
-    # J's definition, 2g y**2 e^{-yt} / ((y-p)(y+p)(y-q)(y+q)), integrated
-    # along the real axis; over the real roots the path dips below on half
-    # circles, which add i*pi times real residues, so the real part is the
-    # principal value at a simple root and the finite part at the double one
-    g = spec.g
-    regime, a, p, q = _denominator_roots(spec)
-    kappa = regime.kappa_abs
+def _j_quadrature(beta: float, tau: float) -> float:
+    # J's definition, 2 beta y**2 e^{-y tau} / ((y-p)(y+p)(y-q)(y+q)),
+    # integrated along the real axis; over the real roots the path dips
+    # below on half circles, which add i*pi times real residues, so the real
+    # part is the principal value at a simple root and the finite part at
+    # the double one
+    kind, a, kappa, p, q = _denominator_roots(beta)
     # real roots within a/4 of a share one half circle of radius a/2; with
     # a small circle each, the integrand on the axis between them would
     # reach O(1/kappa**2) and cancel to O(1)
-    if regime.kind is RegimeKind.UNDERDAMPED:
+    if kind is RegimeKind.UNDERDAMPED:
         centers = radii = np.empty(0)
     elif kappa < 0.25 * a:
         centers, radii = np.array([a]), np.array([0.5 * a])
@@ -506,17 +508,16 @@ def _j_quadrature(spec: OhmicSystemSpec, t: float) -> float:
         turn = np.exp(0.5j * math.pi * (d / radii + 1.0))
         y = s + np.sum(np.where(bend, -d - radii * turn, 0.0), axis=1)
         dy = 1.0 + np.sum(np.where(bend, -0.5j * math.pi * turn - 1.0, 0.0), axis=1)
-        return 2.0 * g * y * y * np.exp(-y * t) * dy / ((y - p) * (y + p) * (y - q) * (y + q))
+        return 2.0 * beta * y * y * np.exp(-y * tau) * dy / ((y - p) * (y + p) * (y - q) * (y + q))
 
-    # edges at 1, 4, 16 and 64 times 1/t, so that e^{-yt} never decays
+    # edges at 1, 4, 16 and 64 times 1/tau, so that e^{-y tau} never decays
     # unseen between the nodes of one panel; past y_top the integrand is
-    # below e^{-60} of its scale.  The tolerance follows J's
-    # (bar_omega*t)**-3 tail.
-    y_top = max(4.0 * a, 4.0 * spec.bar_omega, 60.0 / t)
+    # below e^{-60} of its scale.  The tolerance follows J's tau**-3 tail.
+    y_top = max(4.0 * a, 4.0, 60.0 / tau)
     edges = _distinct(np.clip(np.concatenate(
-        ([0.0, y_top], np.array([1.0, 4.0, 16.0, 64.0]) / t,
+        ([0.0, y_top], np.array([1.0, 4.0, 16.0, 64.0]) / tau,
          centers - radii, centers + radii)), 0.0, y_top))[0]
-    val, _ = adaptive_gk(integrand, edges, 1e-10 * min(1.0, (spec.bar_omega * t) ** -3))
+    val, _ = adaptive_gk(integrand, edges, 1e-10 * min(1.0, tau**-3))
     return float(val.real)
 
 
@@ -534,15 +535,14 @@ def bath_integral_J(spec: OhmicSystemSpec, t, method: str = "analytic"):
     if method not in ("analytic", "quadrature"):
         raise InputError(f"method must be 'analytic' or 'quadrature', got {method!r}")
     t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    if np.any(t_arr <= 0.0) or not np.all(np.isfinite(t_arr)):
+    beta, tau = spec.g / spec.bar_omega, spec.bar_omega * np.atleast_1d(t_arr)
+    if np.any(tau <= 0.0) or not np.all(np.isfinite(tau)):
         raise InputError("bath_integral_J needs strictly positive finite times")
     if method == "analytic":
-        out = _closed_form(spec, t_arr)[1]
+        out = _closed_form(beta, tau)[1]
     else:
-        out = np.array([_j_quadrature(spec, float(ti)) for ti in t_arr])
-    return float(out[0]) if scalar else out
+        out = np.array([_j_quadrature(beta, float(ti)) for ti in tau])
+    return float(out[0]) if t_arr.ndim == 0 else out
 
 
 def f00_closed(spec: OhmicSystemSpec, times) -> AmplitudeSeries:
@@ -556,10 +556,11 @@ def f00_closed(spec: OhmicSystemSpec, times) -> AmplitudeSeries:
     1 (the J limit cancels the pole imaginary part identically).
     """
     t = _validate_times(times)
+    beta, tau = spec.g / spec.bar_omega, spec.bar_omega * t
     values = np.ones(t.shape, dtype=complex)
-    pos = t > 0.0
+    pos = tau > 0.0
     if pos.any():
-        pole, j_vals = _closed_form(spec, t[pos])
+        pole, j_vals = _closed_form(beta, tau[pos])
         values[pos] = pole + 1j * j_vals
     return AmplitudeSeries(
         times=t,
@@ -588,10 +589,10 @@ def decay_comparators(spec: OhmicSystemSpec, times) -> DecayComparators:
     the scale as indicative rather than exact.
     """
     t = _validate_times(times)
-    weak = np.exp(-math.pi * spec.g * t)
-    pref = spec.bar_omega**2 / (math.pi * spec.g) ** 2
-    strong = pref * np.exp(-2.0 * spec.bar_omega**2 * t / (math.pi * spec.g))
-    return DecayComparators(weak=weak, strong=strong)
+    beta, tau = spec.g / spec.bar_omega, spec.bar_omega * t
+    return DecayComparators(
+        weak=np.exp(-math.pi * beta * tau),
+        strong=np.exp(-2.0 * tau / (math.pi * beta)) * (1.0 / (math.pi * beta) ** 2))
 
 
 def cavity_survival_series(weights, frequencies, times) -> np.ndarray:

@@ -16,6 +16,7 @@ values can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -34,8 +35,8 @@ __all__ = [
 
 LIGHT_SPEED_SI = 2.99792458e8
 
-# kappa_sq within CRITICAL_TOLERANCE * bar_omega**2 of zero counts as the
-# critically damped point; exact zero is measure-zero in floating point.
+# 1 - (pi*beta/2)**2 within CRITICAL_TOLERANCE of zero (beta = g/bar_omega) is
+# the critically damped point; exact zero is measure-zero in floating point.
 CRITICAL_TOLERANCE = 1e-9
 
 
@@ -44,6 +45,16 @@ def _require_positive(name: str, value: float) -> None:
         raise InputError(f"{name} must be a real number, got {value!r}")
     if not math.isfinite(value) or value <= 0:
         raise InputError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _count(name: str, value, least: int) -> int:
+    try:
+        if not isinstance(value, bool) and operator.index(value) >= least:
+            return operator.index(value)
+    except TypeError:
+        pass
+    kind = "positive" if least else "nonnegative"
+    raise InputError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -80,10 +91,10 @@ class OhmicSystemSpec:
         _require_positive("cavity_L", self.cavity_L)
         _require_positive("light_speed", self.light_speed)
         _require_positive("hbar", self.hbar)
-        if isinstance(self.n_modes, bool) or not isinstance(self.n_modes, int):
-            raise InputError(f"n_modes must be an integer, got {self.n_modes!r}")
-        if self.n_modes < 1:
-            raise InputError(f"n_modes must be >= 1, got {self.n_modes}")
+        object.__setattr__(self, "n_modes", _count("n_modes", self.n_modes, 1))
+        # so that bar_omega**2, (pi*g)**2 and (pi*g/bar_omega)**2 stay finite
+        if not max(self.bar_omega, self.g, self.g / self.bar_omega) <= 1e153:
+            raise InputError("bar_omega, g and g/bar_omega are capped at 1e153")
 
     @classmethod
     def from_dimensionless(
@@ -158,35 +169,39 @@ def derive_parameters(spec: OhmicSystemSpec) -> DerivedParams:
 
     The construction guarantees omega0**2 - N*eta**2 == bar_omega**2 up to
     rounding, so the renormalized frequency round-trips through the bare one.
+    A spec whose derived parameters overflow double precision (a mode
+    spacing 2*pi*c/L above 1.8e308, say) raises InputError.
     """
     delta_omega = 2.0 * math.pi * spec.light_speed / spec.cavity_L
     eta_sq = 2.0 * spec.g * delta_omega
-    omega0 = math.sqrt(spec.bar_omega**2 + spec.n_modes * eta_sq)
-    kappa_sq = spec.bar_omega**2 - (math.pi * spec.g) ** 2 / 4.0
-    return DerivedParams(
+    params = DerivedParams(
         delta_omega=delta_omega,
         eta=math.sqrt(eta_sq),
-        omega0=omega0,
-        kappa_sq=kappa_sq,
+        omega0=math.sqrt(spec.bar_omega**2 + spec.n_modes * eta_sq),
+        kappa_sq=spec.bar_omega**2 - (math.pi * spec.g) ** 2 / 4.0,
         beta=spec.g / spec.bar_omega,
         delta=spec.cavity_L * spec.g / (2.0 * spec.light_speed),
     )
+    if not all(map(math.isfinite, vars(params).values())):
+        raise InputError("the derived parameters of this spec overflow double precision")
+    return params
+
+
+def _damping(beta: float):
+    # the regime's kind and kappa in units of bar_omega at beta = g/bar_omega
+    kappa_sq = 1.0 - (math.pi * beta) ** 2 / 4.0
+    kind = (RegimeKind.CRITICAL if abs(kappa_sq) <= CRITICAL_TOLERANCE
+            else RegimeKind.UNDERDAMPED if kappa_sq > 0.0 else RegimeKind.OVERDAMPED)
+    return kind, math.sqrt(abs(kappa_sq))
 
 
 def classify_regime(spec: OhmicSystemSpec) -> Regime:
-    """Classify the damping regime from the sign of kappa_sq.
+    """Classify the damping regime from beta = g/bar_omega alone.
 
-    Underdamped for kappa_sq > tol, overdamped for kappa_sq < -tol and
-    critical inside the band |kappa_sq| <= tol = CRITICAL_TOLERANCE *
-    bar_omega**2.  The band makes the classification scale invariant:
-    rescaling (bar_omega, g) by a common factor never flips the kind.
+    With k = 1 - (pi*beta/2)**2 = kappa_sq/bar_omega**2: underdamped for
+    k > tol, overdamped for k < -tol and critical inside the band |k| <= tol
+    = CRITICAL_TOLERANCE; kappa_abs = bar_omega*sqrt(|k|).  So rescaling
+    (bar_omega, g) by a common factor never flips the kind, at any scale.
     """
-    kappa_sq = derive_parameters(spec).kappa_sq
-    tol = CRITICAL_TOLERANCE * spec.bar_omega**2
-    if kappa_sq > tol:
-        kind = RegimeKind.UNDERDAMPED
-    elif kappa_sq < -tol:
-        kind = RegimeKind.OVERDAMPED
-    else:
-        kind = RegimeKind.CRITICAL
-    return Regime(kind=kind, kappa_abs=math.sqrt(abs(kappa_sq)))
+    kind, kappa = _damping(spec.g / spec.bar_omega)
+    return Regime(kind=kind, kappa_abs=spec.bar_omega * kappa)

@@ -310,12 +310,12 @@ def cross_validate(spec: OhmicSystemSpec) -> ValidationReport:
              check_amplitude_routes)
 
     def check_tail():
-        # the 1/t**2 correction to J ~ 4g/(w**4 t**3) scales with
-        # |pi**2 beta**2 - 2|; push t out until it is below 1e-3.
+        # the 1/tau**2 correction to J ~ 4 beta/tau**3, tau = bar_omega*t,
+        # scales with |pi**2 beta**2 - 2|; push tau out until it is below 1e-3.
         scale = math.sqrt(12.0 * abs(math.pi**2 * d.beta**2 - 2.0) / 1e-3)
-        t_far = max(200.0, scale) / spec.bar_omega
-        j_val = _amp.bath_integral_J(spec, t_far)
-        return abs(j_val * spec.bar_omega**4 * t_far**3 / (4.0 * spec.g) - 1.0)
+        tau = max(200.0, scale)
+        j_val = _amp.bath_integral_J(spec, tau / spec.bar_omega)
+        return abs(j_val * tau**3 / (4.0 * d.beta) - 1.0)
 
     _guarded(checks, notes, "branch-cut power-law tail", 0.0, 5e-3, check_tail)
 

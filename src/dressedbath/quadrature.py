@@ -177,10 +177,9 @@ def adaptive_gk(func, edges, tol_abs, times=None):
     With ``times`` (a 1d array) the call integrates func(w)*exp(-i*w*t_k)
     for every t_k at once: ``edges`` then holds one list of breakpoints per
     time, each gap of which is cut into equal panels at most half a period
-    pi/|t_k| wide, and ``tol_abs`` is one tolerance or one per time.  The
-    return value is the pair of arrays (values, error_estimates).
-    Tolerance, panel budget, refinement and summation stay per time, so
-    each result is bit-identical to a call with that time alone.
+    pi/|t_k| wide, and returns the arrays (values, error_estimates).  The
+    panel budget, refinement and summation stay per time, so each result
+    is bit-identical to a call with that time alone.
     """
     groups = [np.asarray(e, dtype=float) for e in ([edges] if times is None else edges)]
     if times is not None:
@@ -191,7 +190,6 @@ def adaptive_gk(func, edges, tol_abs, times=None):
     if np.any(sizes < 2):
         raise NumericalFailure("panel edges must be strictly increasing")
     n_groups = len(groups)
-    tol = np.broadcast_to(np.asarray(tol_abs, dtype=float), (n_groups,))
     flat = np.concatenate(groups)
     is_left = np.ones(flat.size, dtype=bool)
     is_left[np.cumsum(sizes) - 1] = False
@@ -215,13 +213,13 @@ def adaptive_gk(func, edges, tol_abs, times=None):
         if not np.all(np.isfinite(errs)):
             raise NumericalFailure("integrand produced non-finite values")
         count = np.bincount(owner, minlength=n_groups)
-        open_ = (np.bincount(owner, errs, n_groups) > tol) & (count < _PANEL_BUDGET)
+        open_ = (np.bincount(owner, errs, n_groups) > tol_abs) & (count < _PANEL_BUDGET)
         if not open_.any():
             break
-        # every panel below tol/(2n) is fine as is; if all of an open
-        # group's were, its total would already be under tol/2, so at least
+        # every panel below tol_abs/(2n) is fine as is; if all of an open
+        # group's were, its total would already be under tol_abs/2, so at least
         # one of its panels splits here.
-        bad = open_[owner] & (errs > (tol / (2.0 * count))[owner])
+        bad = open_[owner] & (errs > (tol_abs / (2.0 * count))[owner])
         # each bad panel takes two slots in place, its halves, so the panels
         # stay in canonical order: left to right within each group
         first = np.flatnonzero(bad)

@@ -53,7 +53,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InputError, NumericalFailure
-from .model import DerivedParams, OhmicSystemSpec, derive_parameters
+from .model import OhmicSystemSpec, _count, derive_parameters
 from .special import psi, psi1
 
 __all__ = [
@@ -396,19 +396,6 @@ def _cot_minus_inverse(s):
             np.where(small, der, 1.0 / s2 - 1.0 / sin**2))
 
 
-def _mode_weights(d: DerivedParams, bar_sq: float, g: float, omega):
-    # particle weight of a cavity mode at frequency Omega: the discrete
-    # (t_0^r)**2 evaluated with the cotangent-collapsed level sums.
-    om_sq = np.asarray(omega) ** 2
-    eta_sq = d.eta**2
-    denom = (
-        (om_sq - bar_sq) ** 2
-        + 0.5 * eta_sq * (3.0 * om_sq - bar_sq)
-        + (math.pi * g) ** 2 * om_sq
-    )
-    return eta_sq * om_sq / denom
-
-
 def solve_cavity_spectrum(
     spec: OhmicSystemSpec, k_max: int = 10000, variant: str = "rederived"
 ) -> NormalModeSet:
@@ -435,8 +422,7 @@ def solve_cavity_spectrum(
     """
     if variant not in _VARIANT_CONSTANTS:
         raise InputError(f"variant must be 'paper' or 'rederived', got {variant!r}")
-    if not isinstance(k_max, int) or k_max < 0:
-        raise InputError(f"k_max must be a nonnegative integer, got {k_max!r}")
+    k_max = _count("k_max", k_max, 0)
     if k_max > _MAX_K:
         raise InputError(f"k_max is capped at {_MAX_K}, got {k_max}")
     d = derive_parameters(spec)
@@ -468,7 +454,12 @@ def solve_cavity_spectrum(
         s[1:] = _arccot_roots(collapse, np.arctan2(1.0, collapse(0.0)[0]), 1.0, math.pi)
     x = math.pi * np.arange(k_max + 1, dtype=float) + s
     freq = (2.0 * spec.light_speed / spec.cavity_L) * x
-    weights = _mode_weights(d, spec.bar_omega**2, spec.g, freq)
+    # each mode's particle weight: the discrete (t_0^r)**2 evaluated with
+    # the cotangent-collapsed level sums
+    om_sq, eta_sq, bar_omega_sq = freq**2, d.eta**2, spec.bar_omega**2
+    weights = eta_sq * om_sq / (
+        (om_sq - bar_omega_sq) ** 2 + 0.5 * eta_sq * (3.0 * om_sq - bar_omega_sq)
+        + (math.pi * spec.g) ** 2 * om_sq)
     return NormalModeSet(
         frequencies=freq,
         weights=weights,
@@ -524,8 +515,7 @@ def approx_small_L_spectrum(
     """
     if regime not in ("weak", "strong"):
         raise InputError(f"regime must be 'weak' or 'strong', got {regime!r}")
-    if not isinstance(k_max, int) or k_max < 1:
-        raise InputError(f"k_max must be a positive integer, got {k_max!r}")
+    k_max = _count("k_max", k_max, 1)
     if k_max > _MAX_K:
         raise InputError(f"k_max is capped at {_MAX_K}, got {k_max}")
     d = derive_parameters(spec)
@@ -611,8 +601,7 @@ def series_identity_residual(u: float, n_terms: int = 1_000_000) -> float:
     u = float(u)
     if not (1e-6 < u < 1.0 - 1e-6):
         raise InputError("u must lie in (0, 1) at least 1e-6 away from the ends")
-    if not isinstance(n_terms, int) or n_terms < 1:
-        raise InputError(f"n_terms must be a positive integer, got {n_terms!r}")
+    n_terms = _count("n_terms", n_terms, 1)
     if n_terms > _MAX_SERIES_TERMS:
         raise InputError(f"n_terms is capped at {_MAX_SERIES_TERMS}, got {n_terms}")
     total = 0.0

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalFailure
-from .model import OhmicSystemSpec, derive_parameters
+from .model import OhmicSystemSpec, _count, derive_parameters
 from .spectrum import ModeSource, NormalModeSet, _frozen_square
 
 __all__ = [
@@ -116,8 +116,7 @@ def expansion_coefficient(n0_prime: int, occupations, t0_row) -> ExpansionCoeffi
     In-range values are then evaluated through the exact integer
     multinomial so exhaustive normalization sums hold to ~1e-15.
     """
-    if not isinstance(n0_prime, int) or n0_prime < 0:
-        raise InputError(f"n0_prime must be a nonnegative integer, got {n0_prime!r}")
+    n0_prime = _count("n0_prime", n0_prime, 0)
     if n0_prime > _MAX_PARTICLE_LEVEL:
         raise NumericalFailure(
             f"particle level {n0_prime} exceeds the factorial guard "

@@ -482,13 +482,46 @@ def test_quadrature_refuses_times_below_its_floor():
     assert abs(quad.values[0] - f00_closed(spec, quad.times).values[0]) < 1e-12
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_quadrature_refuses_a_nan_error_estimate():
-    # at bar_omega = 1e80 the analytic tail overflows to NaN, whose
-    # estimate compares False with any limit
+def test_quadrature_refuses_a_nan_error_estimate(monkeypatch):
+    # a NaN estimate compares False with any limit, so it must be refused
+    # as such; a NaN tail derivative gives one
     spec = OhmicSystemSpec(bar_omega=1e80, g=0.3e80, cavity_L=1.0, light_speed=1.0)
+    t = np.linspace(0.0, 30.0 / spec.bar_omega, 7)
+    # at this scale the analytic tail overflowed to NaN while the routes
+    # worked in absolute units, and f00(0) read 0.0777
+    assert abs(f00_quadrature(spec, [0.0]).values[0] - 1.0) <= 1e-9
+    monkeypatch.setattr(amplitudes, "_tail_derivatives",
+                        lambda u0, beta: [np.full(u0.shape, np.nan)] * 5)
     with pytest.raises(NumericalFailure, match="estimate nan"):
-        f00_quadrature(spec, np.linspace(0.0, 30.0 / spec.bar_omega, 7))
+        f00_quadrature(spec, t)
+
+
+# every damping regime, at scales where bar_omega**2 underflows (1e-170)
+# or w**4 overflows (1e80) in absolute units
+SCALE_BETAS = (0.0073, 0.3, 2.0 / math.pi, 3.0, 30.0)
+SCALES = (1e-200, 1e-170, 1e-80, 1e-20, 1e20, 1e80, 1e120, 1e150)
+
+
+@pytest.mark.parametrize("beta", SCALE_BETAS)
+def test_continuum_routes_depend_on_bar_omega_only_through_beta_and_tau(beta):
+    # f00 and J are functions of beta = g/bar_omega and tau = bar_omega*t
+    tau = np.array([0.0, 1e-3, 0.5, 5.0, 25.0, 60.0])
+
+    def routes(bar_omega):
+        spec = OhmicSystemSpec(bar_omega=bar_omega, g=beta * bar_omega,
+                               cavity_L=1.0, light_speed=1.0)
+        t = tau / bar_omega
+        return classify_regime(spec).kind, (
+            f00_quadrature(spec, t).values, f00_closed(spec, t).values,
+            bath_integral_J(spec, t[1:]),
+            bath_integral_J(spec, t[1:], method="quadrature"))
+
+    kind, unit = routes(1.0)
+    for bar_omega in SCALES:
+        scaled_kind, scaled = routes(bar_omega)
+        assert scaled_kind is kind, bar_omega
+        for got, want in zip(scaled, unit):
+            assert np.max(np.abs(got - want)) <= 1e-12, bar_omega
 
 
 @pytest.mark.parametrize("g", BETAS)

@@ -370,6 +370,19 @@ def test_flag_and_file_values_share_one_coercion(tmp_path, capsys):
     assert rc == 1 and "key t_max must be finite" in err
 
 
+def test_extreme_frequency_scales(capsys):
+    # at bar_omega = 1e-170, bar_omega**2 underflows to 0, which once made
+    # every spec critical; at 1e160 (or beta = 1e200) the derived
+    # parameters overflow, and the spec is refused on one line
+    unit = ("--delta", "0.05", "--light-speed", "1")
+    rc, out, _ = run_cli(capsys, "decay", "--bar-omega", "1e-170", "--beta", "0.3", *unit)
+    assert rc == 0 and "regime=underdamped" in out
+    for bar_omega, beta in (("1e160", "0.3"), ("1", "1e200")):
+        rc, out, err = run_cli(capsys, "decay", "--bar-omega", bar_omega, "--beta", beta, *unit)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_oversized_quadrature_grid_fails_fast(capsys):
     # one time over the per-time limit, then a 200-sample grid whose times
     # are each under it but whose panels in all are over the grid limit

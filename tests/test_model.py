@@ -2,14 +2,20 @@ import math
 
 import pytest
 
+import numpy as np
+
 from dressedbath import (
     CRITICAL_TOLERANCE,
     LIGHT_SPEED_SI,
     InputError,
     OhmicSystemSpec,
     RegimeKind,
+    approx_small_L_spectrum,
     classify_regime,
     derive_parameters,
+    expansion_coefficient,
+    series_identity_residual,
+    solve_cavity_spectrum,
 )
 
 
@@ -62,6 +68,45 @@ def test_n_modes_must_be_a_true_integer():
         OhmicSystemSpec(bar_omega=1.0, g=0.1, cavity_L=1.0, n_modes=True)
     with pytest.raises(InputError):
         OhmicSystemSpec(bar_omega=1.0, g=0.1, cavity_L=1.0, n_modes=2.0)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_counts_take_any_integer_but_bool():
+    # every count argument goes through one check: numpy integers pass as
+    # their value, True is refused
+    spec = OhmicSystemSpec.from_dimensionless(beta=0.1, delta=0.05)
+    row = np.array([0.6, 0.4])
+    counts = [
+        ("n_modes", 1, lambda n: OhmicSystemSpec(bar_omega=1.0, g=0.1, cavity_L=1.0,
+                                                 n_modes=n).n_modes),
+        ("k_max", 0, lambda n: solve_cavity_spectrum(spec, k_max=n).frequencies),
+        ("k_max", 1, lambda n: approx_small_L_spectrum(spec, k_max=n).frequencies),
+        ("n_terms", 1, lambda n: series_identity_residual(0.3, n_terms=n)),
+        ("n0_prime", 0, lambda n: expansion_coefficient(n, (n, 0), row)),
+    ]
+    for name, least, call in counts:
+        kind = "positive" if least else "nonnegative"
+        with pytest.raises(InputError, match=f"^{name} must be a {kind} integer, got True$"):
+            call(True)
+        with pytest.raises(InputError, match=f"got {least - 1}$"):
+            call(least - 1)
+        assert np.array_equal(call(np.int64(10)), call(10))
+    assert type(OhmicSystemSpec(bar_omega=1.0, g=0.1, cavity_L=1.0,
+                                n_modes=np.int64(3)).n_modes) is int
+
+
+def test_overflowing_specs_are_refused():
+    # bar_omega**2, (pi*g)**2 and (pi*g/bar_omega)**2 raised OverflowError
+    # past about 1e154; a derived parameter past 1.8e308 read inf
+    for bar_omega, g in ((1e160, 0.3e160), (1.0, 1e200), (1e-160, 1e-5)):
+        with pytest.raises(InputError, match="capped at 1e153"):
+            OhmicSystemSpec(bar_omega=bar_omega, g=g, cavity_L=1.0)
+    largest = OhmicSystemSpec(bar_omega=1e153, g=0.3e153, cavity_L=1.0)
+    assert derive_parameters(largest).beta == pytest.approx(0.3, rel=1e-15)
+    assert classify_regime(largest).kind is RegimeKind.UNDERDAMPED
+    tiny_cavity = OhmicSystemSpec(bar_omega=1.0, g=0.3, cavity_L=1e-300, light_speed=1e10)
+    with pytest.raises(InputError, match="overflow double precision"):
+        derive_parameters(tiny_cavity)
 
 
 def test_bool_rejected_for_float_fields():
