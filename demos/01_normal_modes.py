@@ -29,7 +29,7 @@ modes = solve_finite_spectrum(spec)
 eigvals, vecs = eigen_decompose(build_potential_matrix(spec))
 print("\nsecular roots vs dense eigenvalues (should agree to ~1e-13):")
 for r in range(modes.n_modes_total):
-    dense = np.sqrt(eigvals[r])
+    dense = spec.bar_omega * np.sqrt(eigvals[r])   # eigvals in units of bar_omega**2
     print(f"  mode {r}: {modes.frequencies[r]:.12f}  dense {dense:.12f}"
           f"  rel diff {abs(modes.frequencies[r] / dense - 1.0):.1e}")
 

@@ -92,7 +92,7 @@ class OhmicSystemSpec:
         _require_positive("light_speed", self.light_speed)
         _require_positive("hbar", self.hbar)
         object.__setattr__(self, "n_modes", _count("n_modes", self.n_modes, 1))
-        # so that bar_omega**2, (pi*g)**2 and (pi*g/bar_omega)**2 stay finite
+        # so that (pi*g/bar_omega)**2 stays finite
         if not max(self.bar_omega, self.g, self.g / self.bar_omega) <= 1e153:
             raise InputError("bar_omega, g and g/bar_omega are capped at 1e153")
 
@@ -137,15 +137,14 @@ class DerivedParams:
     """Secondary quantities computed once from an :class:`OhmicSystemSpec`.
 
     delta_omega is the bath spacing 2*pi*c/L, eta the coupling normalization
-    sqrt(2*g*delta_omega), omega0 the bare particle frequency, kappa_sq the
-    regime discriminant bar_omega**2 - (pi*g/2)**2, and beta = g/bar_omega,
-    delta = L*g/(2c) the two dimensionless control parameters.
+    sqrt(2*g*delta_omega), omega0 the bare particle frequency (these three
+    in absolute units), and beta = g/bar_omega, delta = L*g/(2c) the two
+    dimensionless control parameters.
     """
 
     delta_omega: float
     eta: float
     omega0: float
-    kappa_sq: float
     beta: float
     delta: float
 
@@ -158,7 +157,7 @@ class RegimeKind(Enum):
 
 @dataclass(frozen=True)
 class Regime:
-    """Damping regime: the sign of kappa_sq decides it, kappa_abs = sqrt|kappa_sq|."""
+    """Damping regime: its kind, and kappa_abs = bar_omega*sqrt|1 - (pi*beta/2)**2|."""
 
     kind: RegimeKind
     kappa_abs: float
@@ -167,19 +166,20 @@ class Regime:
 def derive_parameters(spec: OhmicSystemSpec) -> DerivedParams:
     """Compute all derived parameters of a validated spec.
 
-    The construction guarantees omega0**2 - N*eta**2 == bar_omega**2 up to
-    rounding, so the renormalized frequency round-trips through the bare one.
-    A spec whose derived parameters overflow double precision (a mode
-    spacing 2*pi*c/L above 1.8e308, say) raises InputError.
+    eta and omega0 are bar_omega times functions of the scale-free
+    (eta/bar_omega)**2 = 2*beta*delta_omega/bar_omega, so omega0**2 - N*eta**2
+    == bar_omega**2 up to rounding at every scale.  A spec whose derived
+    parameters overflow double precision (a mode spacing 2*pi*c/L above
+    1.8e308, say) raises InputError.
     """
     delta_omega = 2.0 * math.pi * spec.light_speed / spec.cavity_L
-    eta_sq = 2.0 * spec.g * delta_omega
+    beta = spec.g / spec.bar_omega
+    eta_sq = 2.0 * beta * (delta_omega / spec.bar_omega)
     params = DerivedParams(
         delta_omega=delta_omega,
-        eta=math.sqrt(eta_sq),
-        omega0=math.sqrt(spec.bar_omega**2 + spec.n_modes * eta_sq),
-        kappa_sq=spec.bar_omega**2 - (math.pi * spec.g) ** 2 / 4.0,
-        beta=spec.g / spec.bar_omega,
+        eta=spec.bar_omega * math.sqrt(eta_sq),
+        omega0=spec.bar_omega * math.sqrt(1.0 + spec.n_modes * eta_sq),
+        beta=beta,
         delta=spec.cavity_L * spec.g / (2.0 * spec.light_speed),
     )
     if not all(map(math.isfinite, vars(params).values())):

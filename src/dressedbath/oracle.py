@@ -54,6 +54,7 @@ class PotentialMatrix:
 
     ``factor`` is a square C with C^T C = ``entries`` whose entries are
     exact inputs rather than rounded products; the eigensolver works on it.
+    ``build_potential_matrix`` gives C/bar_omega and M/bar_omega**2.
     """
 
     entries: np.ndarray
@@ -77,27 +78,27 @@ class PotentialMatrix:
 def build_potential_matrix(spec: OhmicSystemSpec) -> PotentialMatrix:
     """[[omega0**2, -c_k], [-c_k, diag(omega_k**2)]] for the finite bath.
 
-    Its factor is C = [[bar_omega, 0], [eta, -diag(omega_k)]], built from
-    the inputs themselves: omega0**2 = bar_omega**2 + N*eta**2 is never
-    rounded on this route, which the lowest mode at strong coupling needs.
-    Both arrays are (N+1)**2 and the Jacobi sweeps cost O(N**3), so n_modes
-    above 400 raises InputError before anything is allocated.
+    Every frequency is in units of bar_omega, so the route is scale-free
+    (absolute eigenvalues would underflow below bar_omega ~ 1e-154).  The
+    factor C = [[1, 0], [eta, -diag(omega_k)]] is built from the inputs
+    themselves: omega0**2 = 1 + N*eta**2 is never rounded on this route,
+    which the lowest mode at strong coupling needs.  Both arrays are
+    (N+1)**2 and the Jacobi sweeps cost O(N**3), so n_modes above 400
+    raises InputError before anything is allocated.
     """
     n = spec.n_modes
     if n > _MAX_DENSE_MODES:
         raise InputError(f"dense oracle capped at n_modes = {_MAX_DENSE_MODES}")
     d = derive_parameters(spec)
     k = np.arange(1, n + 1)
-    omega_k = d.delta_omega * k
-    m = np.zeros((n + 1, n + 1))
-    m[0, 0] = d.omega0**2
-    m[k, k] = omega_k**2
-    m[0, 1:] = -d.eta * omega_k
-    m[1:, 0] = -d.eta * omega_k
     c = np.zeros((n + 1, n + 1))
-    c[0, 0] = spec.bar_omega
-    c[1:, 0] = d.eta
-    c[k, k] = -omega_k
+    c[0, 0] = 1.0
+    c[1:, 0] = d.eta / spec.bar_omega
+    c[k, k] = -(d.delta_omega / spec.bar_omega) * k
+    m = np.zeros((n + 1, n + 1))
+    m[0, 0] = (d.omega0 / spec.bar_omega) ** 2
+    m[k, k] = c[k, k] ** 2
+    m[0, 1:] = m[1:, 0] = c[1:, 0] * c[k, k]
     return PotentialMatrix(entries=m, factor=c)
 
 
@@ -117,7 +118,8 @@ def eigen_decompose(matrix: PotentialMatrix):
     elementwise, so the bytes do not depend on BLAS threading.
 
     Returns (eigenvalues ascending, eigenvectors as columns), eigenvector
-    signs fixed so the first nonvanishing component is positive.  Raises
+    signs fixed so the first nonvanishing component is positive; from
+    ``build_potential_matrix`` the eigenvalues are Omega_r**2/bar_omega**2.  Raises
     NumericalFailure if 100 sweeps do not converge or the off-diagonal
     mass of V^T M V exceeds 1e-12 * ||M||.
     """
@@ -277,8 +279,8 @@ def cross_validate(spec: OhmicSystemSpec) -> ValidationReport:
         return _spectrum.solve_cavity_spectrum(spec, k_max=50, variant=variant)
 
     def check_spectrum():
-        eigvals, _ = dense()
-        return np.max(np.abs(finite(spec).frequencies / np.sqrt(eigvals) - 1.0))
+        eigvals, _ = dense()   # in units of bar_omega**2
+        return np.max(np.abs(finite(spec).frequencies / spec.bar_omega / np.sqrt(eigvals) - 1.0))
 
     _guarded(checks, notes, "finite spectrum vs dense eigensolve", 0.0, 1e-10,
              check_spectrum)

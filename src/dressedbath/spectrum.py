@@ -26,7 +26,8 @@ Three routes to the same physics, at different levels of approximation:
   ``cavity_smallness_factor``.
 
 Each route returns a ``NormalModeSet``: the frequencies together with the
-particle weights (t_0^r)**2.
+particle weights (t_0^r)**2.  Roots and weights are formed in units of
+delta_omega or bar_omega, so no route squares an absolute frequency.
 
 Both exact routes are truncations of one secular equation, and on each gap
 between two poles both take the form pi*eps = arccot(A(j + eps)), eps in
@@ -453,15 +454,15 @@ def solve_cavity_spectrum(
 
         s[1:] = _arccot_roots(collapse, np.arctan2(1.0, collapse(0.0)[0]), 1.0, math.pi)
     x = math.pi * np.arange(k_max + 1, dtype=float) + s
-    freq = (2.0 * spec.light_speed / spec.cavity_L) * x
     # each mode's particle weight: the discrete (t_0^r)**2 evaluated with
-    # the cotangent-collapsed level sums
-    om_sq, eta_sq, bar_omega_sq = freq**2, d.eta**2, spec.bar_omega**2
+    # the cotangent-collapsed level sums, in units of bar_omega
+    w = (2.0 * spec.light_speed / spec.cavity_L / spec.bar_omega) * x
+    om_sq, eta_sq = w**2, (d.eta / spec.bar_omega) ** 2
     weights = eta_sq * om_sq / (
-        (om_sq - bar_omega_sq) ** 2 + 0.5 * eta_sq * (3.0 * om_sq - bar_omega_sq)
-        + (math.pi * spec.g) ** 2 * om_sq)
+        (om_sq - 1.0) ** 2 + 0.5 * eta_sq * (3.0 * om_sq - 1.0)
+        + (math.pi * d.beta) ** 2 * om_sq)
     return NormalModeSet(
-        frequencies=freq,
+        frequencies=spec.bar_omega * w,
         weights=weights,
         source=ModeSource.CAVITY_CLOSED_FORM,
         spec_snapshot=spec,

@@ -37,7 +37,7 @@ __all__ = [
 
 _ORTHO_TOL = 1e-8
 # finite_matrix holds the (N+1)**2 matrix, an N x (N+1) gap array and the
-# Gram product: 0.76 GB (tracemalloc peak) and 3 s at N = 5000 on a
+# Gram product: 0.63 GB (tracemalloc peak) and 3 s at N = 5000 on a
 # 2-core VM
 _MAX_MATRIX_MODES = 5000
 _MAX_PARTICLE_LEVEL = 20
@@ -85,9 +85,9 @@ def finite_matrix(spec: OhmicSystemSpec, modes: NormalModeSet) -> TransformMatri
             f"expected {n + 1} modes for n_modes={n}, got {modes.n_modes_total}"
         )
     d = derive_parameters(spec)
-    omega_k = d.delta_omega * np.arange(1, n + 1)
-    c_k = d.eta * omega_k
-    lam = modes.frequencies**2
+    omega_k = (d.delta_omega / spec.bar_omega) * np.arange(1, n + 1)
+    c_k = (d.eta / spec.bar_omega) * omega_k
+    lam = (modes.frequencies / spec.bar_omega) ** 2
     gap = omega_k[:, None] ** 2 - lam[None, :]
     if np.any(np.abs(gap) < 1e-12 * omega_k[:, None] ** 2):
         raise NumericalFailure("a normal mode coincides with a bath frequency")
@@ -95,7 +95,9 @@ def finite_matrix(spec: OhmicSystemSpec, modes: NormalModeSet) -> TransformMatri
     t = np.empty((n + 1, n + 1))
     t[0, :] = t0
     t[1:, :] = c_k[:, None] * t0[None, :] / gap
-    gram_err = np.max(np.abs(t.T @ t - np.eye(n + 1)))
+    gram = t.T @ t
+    gram.flat[:: n + 2] -= 1.0                 # T^T T - I in place
+    gram_err = np.max(np.abs(gram, out=gram))
     if gram_err > _ORTHO_TOL:
         raise NumericalFailure(
             f"transform columns miss orthonormality by {gram_err:.3e}"

@@ -383,6 +383,22 @@ def test_extreme_frequency_scales(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_spectral_commands_at_extreme_frequency_scales(capsys):
+    # the cavity weights and the dense oracle once squared bar_omega, so
+    # validate failed and cavity raised "weights must be positive" at
+    # bar_omega = 1e80 and 1e-170
+    unit = ("--beta", "0.3", "--delta", "0.05", "--light-speed", "1")
+    rc, out, _ = run_cli(capsys, "validate", "--bar-omega", "1e80", *unit)
+    assert rc == 0 and "result: all checks passed" in out
+    grid_min = []
+    for bar_omega, t_max in (("1", "20"), ("1e-170", "2e171")):
+        rc, out, _ = run_cli(capsys, "cavity", "--bar-omega", bar_omega,
+                             "--t-max", t_max, *unit)
+        assert rc == 0
+        grid_min.append(summaries(out)[1]["grid_min"])
+    assert abs(grid_min[1] - grid_min[0]) <= 1e-14
+
+
 def test_oversized_quadrature_grid_fails_fast(capsys):
     # one time over the per-time limit, then a 200-sample grid whose times
     # are each under it but whose panels in all are over the grid limit

@@ -26,7 +26,6 @@ def test_derived_quantities_match_definitions():
     assert d.delta_omega == pytest.approx(2.0 * math.pi / 2.5, rel=1e-15, abs=0.0)
     assert d.eta**2 == pytest.approx(2.0 * 0.7 * d.delta_omega, rel=1e-15, abs=0.0)
     assert d.omega0**2 == pytest.approx(9.0 + 12 * d.eta**2, rel=1e-15, abs=0.0)
-    assert d.kappa_sq == pytest.approx(9.0 - (math.pi * 0.7) ** 2 / 4.0, rel=1e-15, abs=0.0)
     assert d.beta == pytest.approx(0.7 / 3.0, rel=1e-15, abs=0.0)
     assert d.delta == pytest.approx(2.5 * 0.7 / 2.0, rel=1e-15, abs=0.0)
 

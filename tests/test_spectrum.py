@@ -19,9 +19,12 @@ from dressedbath import (
     approx_small_L_spectrum,
     build_potential_matrix,
     cavity_smallness_factor,
+    cavity_survival_series,
     cot_series_closed_form,
+    cross_validate,
     derive_parameters,
     eigen_decompose,
+    finite_matrix,
     series_identity_residual,
     solve_cavity_spectrum,
     solve_finite_spectrum,
@@ -81,8 +84,9 @@ def test_roots_interlace_the_bath_ladder(spec):
 
 @pytest.mark.parametrize("spec", SPEC_GRID)
 def test_roots_match_dense_eigenvalues(spec):
+    # M and its eigenvalues are in units of bar_omega**2
     m = build_potential_matrix(spec).entries
-    lam = solve_finite_spectrum(spec).frequencies ** 2
+    lam = (solve_finite_spectrum(spec).frequencies / spec.bar_omega) ** 2
     bound = np.finfo(float).eps * np.linalg.norm(m, 2) * (spec.n_modes + 1)
     assert np.max(np.abs(lam - np.linalg.eigvalsh(m))) <= bound
 
@@ -92,6 +96,46 @@ def test_particle_weights_sum_to_one(spec):
     modes = solve_finite_spectrum(spec)
     assert abs(modes.weights.sum() - 1.0) < 1e-12
     assert np.all(modes.weights > 0.0)
+
+
+SCALES = (1e-200, 1e-170, 1e-120, 1e-80, 1e-40, 1e40, 1e77, 1e120, 1e150)
+
+
+@pytest.mark.parametrize("beta", (0.0073, 0.3, 3.0))
+def test_spectral_routes_depend_on_bar_omega_only_through_beta_and_delta(beta):
+    # in units of bar_omega the cavity ladders, the survival curve at
+    # tau = bar_omega*t, the transform and the dense eigenvalues are
+    # functions of beta and delta alone, and validate passes at every scale
+    tau = np.linspace(0.0, 20.0, 41)
+
+    def routes(bar_omega):
+        spec = OhmicSystemSpec.from_dimensionless(beta, 0.05, bar_omega=bar_omega,
+                                                  n_modes=20)
+        ladders = [solve_cavity_spectrum(spec, k_max=100, variant=variant)
+                   for variant in ("paper", "rederived")]
+        w = ladders[1].weights
+        survival = cavity_survival_series((w[0], w[1:]), ladders[1].frequencies,
+                                          tau / bar_omega)
+        matrix = finite_matrix(spec, solve_finite_spectrum(spec)).entries
+        eigvals, _ = eigen_decompose(build_potential_matrix(spec))
+        assert cross_validate(spec).all_passed, bar_omega
+        return ladders, survival, matrix, eigvals
+
+    ladders, survival, matrix, eigvals = routes(1.0)
+    # the weights may move the curve by 2e-14; each phase (Omega_r/bar_omega)*tau
+    # goes through the rounded Omega_r and t = tau/bar_omega, so it may move
+    # by 4 ulp, and the curve by 8*eps*tau*sum_r weight_r*Omega_r/bar_omega more
+    mean_freq = np.sum(ladders[1].weights * ladders[1].frequencies)
+    drift = 2e-14 + 8.0 * np.finfo(float).eps * tau * mean_freq
+    for bar_omega in SCALES:
+        got = routes(bar_omega)
+        for scaled, unit in zip(got[0], ladders):
+            freq = scaled.frequencies / bar_omega
+            assert np.max(np.abs(freq / unit.frequencies - 1.0)) <= 1e-14, bar_omega
+            assert np.max(np.abs(scaled.weights / unit.weights - 1.0)) <= 1e-14, bar_omega
+        assert np.all(np.abs(got[1] - survival) <= drift), bar_omega
+        assert np.max(np.abs(got[2] - matrix)) <= 1e-12, bar_omega
+        assert np.max(np.abs(got[3] / eigvals - 1.0)) <= 1e-13, bar_omega
 
 
 def _secular_roots_40_digits(spec, lanes, guesses):

@@ -164,7 +164,7 @@ def test_expansion_coefficient_guards():
 
 
 def test_finite_matrix_refuses_large_baths_before_allocating():
-    # the (N+1)**2 matrix, its gap array and Gram product take 0.76 GB at
+    # the (N+1)**2 matrix, its gap array and Gram product take 0.63 GB at
     # N = 5000; one more mode fails at once, having allocated nothing of it
     spec = OhmicSystemSpec.from_dimensionless(beta=0.3, delta=0.7, n_modes=5001)
     modes = solve_finite_spectrum(spec)
