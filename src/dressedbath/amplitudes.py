@@ -68,6 +68,7 @@ __all__ = [
 
 _QUAD_TARGET = 1e-9
 _QUAD_HARD_LIMIT = 1e-7
+_QUAD_MIN_BETA = 1e-11
 _BLOCK_ELEMENTS = 2**18
 _MAX_PHASES = 2**27
 _WORKER_PHASES = 2**16
@@ -375,13 +376,19 @@ def f00_quadrature(spec: OhmicSystemSpec, times) -> AmplitudeSeries:
     that needs more than 2**23 in all (about 10 s of work), raises
     InputError before any quadrature runs, and so does a positive time
     below 1e-8/(4*bar_omega + 4*pi*g), whose widest panel both rules read
-    as about 0.  Grids of at least 8192 initial panels run on the CPUs the
-    process may use, in contiguous time ranges of at least 4096 panels
-    each, with no setting; the bytes do not depend on how many CPUs there
-    are.
+    as about 0, and so does beta = g/bar_omega below 1e-11, whose
+    resonance is too narrow for the refinement: for 0 <= t <= 60 some
+    betas below it missed 1e-7 unseen, and from beta ~ 4e-14 down f00
+    read as about 0 (``f00_closed`` covers every beta).  Grids of at
+    least 8192 initial panels run on the CPUs the process may use, in
+    contiguous time ranges of at least 4096 panels each, with no setting;
+    the bytes do not depend on how many CPUs there are.
     """
     t_arr = _validate_times(times)
     beta, tau = spec.g / spec.bar_omega, spec.bar_omega * t_arr
+    if beta < _QUAD_MIN_BETA:
+        raise InputError(f"continuum quadrature needs beta >= {_QUAD_MIN_BETA:g}, "
+                         f"got {beta:.6g}; the closed form covers it")
     head_edges = _head_edges(0.5 * math.pi * beta)
     w_top = head_edges[-1]
     if np.any((tau > 0.0) & (tau < 1e-8 / w_top)):

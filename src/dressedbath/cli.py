@@ -134,6 +134,9 @@ def _time_grid(cfg: dict, spec: OhmicSystemSpec) -> np.ndarray:
     samples = cfg.get("samples", 200)
     if t_max <= 0.0:
         raise InputError(f"t_max must be positive, got {t_max!r}")
+    if t_max == math.inf:
+        raise InputError(f"the default t_max = 50/bar_omega overflows at bar_omega = "
+                         f"{spec.bar_omega:.6g}; give t_max")
     if samples < 2:
         raise InputError(f"samples must be at least 2, got {samples!r}")
     if samples > _MAX_SAMPLES:

@@ -92,9 +92,9 @@ class OhmicSystemSpec:
         _require_positive("light_speed", self.light_speed)
         _require_positive("hbar", self.hbar)
         object.__setattr__(self, "n_modes", _count("n_modes", self.n_modes, 1))
-        # so that (pi*g/bar_omega)**2 stays finite
-        if not max(self.bar_omega, self.g, self.g / self.bar_omega) <= 1e153:
-            raise InputError("bar_omega, g and g/bar_omega are capped at 1e153")
+        # (pi*g/bar_omega)**2 must stay finite; derive_parameters refuses the rest
+        if not self.g / self.bar_omega <= 1e153:
+            raise InputError("g/bar_omega is capped at 1e153")
 
     @classmethod
     def from_dimensionless(

@@ -178,10 +178,8 @@ def eigen_decompose(matrix: PotentialMatrix):
     order = np.argsort(eigvals, kind="stable")
     eigvals = eigvals[order]
     vecs = w[:n, n:].T[:, order]
-    for col in range(n):
-        nz = np.flatnonzero(vecs[:, col])
-        if nz.size and vecs[nz[0], col] < 0.0:
-            vecs[:, col] = -vecs[:, col]
+    first = vecs[np.argmax(vecs != 0.0, axis=0), np.arange(n)]
+    vecs *= np.where(first < 0.0, -1.0, 1.0)
     # a pass/fail check only, so its matmuls may use BLAS
     off = vecs.T @ matrix.entries @ vecs
     off[np.diag_indices(n)] = 0.0
@@ -317,7 +315,11 @@ def cross_validate(spec: OhmicSystemSpec) -> ValidationReport:
         scale = math.sqrt(12.0 * abs(math.pi**2 * d.beta**2 - 2.0) / 1e-3)
         tau = max(200.0, scale)
         j_val = _amp.bath_integral_J(spec, tau / spec.bar_omega)
-        return abs(j_val * tau**3 / (4.0 * d.beta) - 1.0)
+        try:
+            return abs(j_val * tau**3 / (4.0 * d.beta) - 1.0)
+        except OverflowError:
+            raise NumericalFailure(f"tau**3 at tau = {tau:.3g} leaves double precision "
+                                   f"at beta = {d.beta:.6g}") from None
 
     _guarded(checks, notes, "branch-cut power-law tail", 0.0, 5e-3, check_tail)
 

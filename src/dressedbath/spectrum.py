@@ -109,6 +109,21 @@ def _checked_modes(frequencies, weights):
     return freq, wts
 
 
+def _past_double(source, d) -> InputError:
+    # a route's own arithmetic left double precision at an extreme beta or
+    # delta: say so, and blame no input the caller never gave
+    return InputError(f"the {source.value} modes leave double precision at "
+                      f"beta = {d.beta:.6g}, delta = {d.delta:.6g}")
+
+
+def _route_modes(source, spec, d, frequencies, weights) -> NormalModeSet:
+    # a route's mode set, unless a weight underflowed to 0 or read NaN or a
+    # frequency overflowed on the way
+    if not (np.all(weights > 0.0) and np.all(np.isfinite(frequencies))):
+        raise _past_double(source, d)
+    return NormalModeSet(frequencies, weights, source, spec)
+
+
 def _frozen(value, dtype=float) -> np.ndarray:
     # value as a read-only array: a copy unless it is read-only already, so
     # freezing it never freezes the caller's own array
@@ -255,17 +270,16 @@ def solve_finite_spectrum(spec: OhmicSystemSpec) -> NormalModeSet:
     d = derive_parameters(spec)
     b = spec.bar_omega / d.delta_omega
     e_sq = 2.0 * spec.g / d.delta_omega
+    # the start below the ladder squares b**2 = (delta/(pi*beta))**2, so
+    # past b ~ 1e77 the route cannot begin
+    if b * b * b * b == math.inf:
+        raise _past_double(ModeSource.FINITE_N, d)
     u = np.empty(n + 1)
     weights = np.empty(n + 1)
     u[[0, n]], weights[[0, n]] = _finite_edge_roots(n, b, e_sq)
     if n > 1:
         u[1:n], weights[1:n] = _finite_bulk_roots(n, b, e_sq)
-    return NormalModeSet(
-        frequencies=d.delta_omega * u,
-        weights=weights,
-        source=ModeSource.FINITE_N,
-        spec_snapshot=spec,
-    )
+    return _route_modes(ModeSource.FINITE_N, spec, d, d.delta_omega * u, weights)
 
 
 def _finite_bulk_roots(n, b, e_sq):
@@ -428,6 +442,9 @@ def solve_cavity_spectrum(
         raise InputError(f"k_max is capped at {_MAX_K}, got {k_max}")
     d = derive_parameters(spec)
     delta = d.delta
+    # C's delta/(pi*beta**2) needs beta**2 above 0
+    if d.beta**2 == 0.0:
+        raise _past_double(ModeSource.CAVITY_CLOSED_FORM, d)
     base = _VARIANT_CONSTANTS[variant]
     slope = 1.0 / (math.pi * delta)
     c_const = base - 2.0 * delta / (math.pi * d.beta**2)
@@ -461,12 +478,7 @@ def solve_cavity_spectrum(
     weights = eta_sq * om_sq / (
         (om_sq - 1.0) ** 2 + 0.5 * eta_sq * (3.0 * om_sq - 1.0)
         + (math.pi * d.beta) ** 2 * om_sq)
-    return NormalModeSet(
-        frequencies=spec.bar_omega * w,
-        weights=weights,
-        source=ModeSource.CAVITY_CLOSED_FORM,
-        spec_snapshot=spec,
-    )
+    return _route_modes(ModeSource.CAVITY_CLOSED_FORM, spec, d, spec.bar_omega * w, weights)
 
 
 # ---------------------------------------------------------------------------

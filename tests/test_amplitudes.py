@@ -496,10 +496,21 @@ def test_quadrature_refuses_a_nan_error_estimate(monkeypatch):
         f00_quadrature(spec, t)
 
 
+def test_quadrature_refuses_couplings_it_cannot_resolve():
+    # below beta = 1e-11 the resonance is too narrow for the refinement; at
+    # beta 1e-20 the quadrature once returned |f00| < 1e-16 with no error
+    t = np.linspace(0.0, 60.0, 61)
+    with pytest.raises(InputError, match="beta >= 1e-11"):
+        f00_quadrature(_unit_spec(1e-20), t)
+    spec = _unit_spec(1e-7)
+    gap = np.abs(f00_quadrature(spec, t).values - f00_closed(spec, t).values)
+    assert gap.max() <= 1e-9
+
+
 # every damping regime, at scales where bar_omega**2 underflows (1e-170)
 # or w**4 overflows (1e80) in absolute units
 SCALE_BETAS = (0.0073, 0.3, 2.0 / math.pi, 3.0, 30.0)
-SCALES = (1e-200, 1e-170, 1e-80, 1e-20, 1e20, 1e80, 1e120, 1e150)
+SCALES = (1e-200, 1e-170, 1e-80, 1e-20, 1e20, 1e80, 1e120, 1e150, 1e200, 1e300)
 
 
 @pytest.mark.parametrize("beta", SCALE_BETAS)

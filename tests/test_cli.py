@@ -372,15 +372,44 @@ def test_flag_and_file_values_share_one_coercion(tmp_path, capsys):
 
 def test_extreme_frequency_scales(capsys):
     # at bar_omega = 1e-170, bar_omega**2 underflows to 0, which once made
-    # every spec critical; at 1e160 (or beta = 1e200) the derived
-    # parameters overflow, and the spec is refused on one line
+    # every spec critical, and 1e160 was refused though no route squares
+    # it.  beta = 1e200 is past the cap on g/bar_omega, delta_omega
+    # overflows at bar_omega = 1e307 and the default t_max = 50/bar_omega
+    # at 1e-307: each is refused on one line
     unit = ("--delta", "0.05", "--light-speed", "1")
-    rc, out, _ = run_cli(capsys, "decay", "--bar-omega", "1e-170", "--beta", "0.3", *unit)
-    assert rc == 0 and "regime=underdamped" in out
-    for bar_omega, beta in (("1e160", "0.3"), ("1", "1e200")):
+    for bar_omega in ("1e-170", "1e160"):
+        rc, out, _ = run_cli(capsys, "decay", "--bar-omega", bar_omega, "--beta", "0.3", *unit)
+        assert rc == 0 and "regime=underdamped" in out
+    for bar_omega, beta in (("1", "1e200"), ("1e307", "0.3"), ("1e-307", "0.3")):
         rc, out, err = run_cli(capsys, "decay", "--bar-omega", bar_omega, "--beta", beta, *unit)
         assert rc == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+    assert "t_max" in err
+
+
+EXTREME_BETAS = ("1e-300", "1e-200", "1e-160", "1e-100", "1e-80", "1e-20",
+                 "1e5", "1e50", "1e100", "1e150")
+EXTREME_COMMANDS = (
+    "spectrum --route finite-n --n-modes 20", "spectrum --route cavity --k-max 100",
+    "decay --method discrete --n-modes 50", "decay --method quadrature",
+    "decay --method closed", "brownian --method closed", "cavity --k-max 200",
+    "validate --n-modes 20",
+)
+
+
+@pytest.mark.parametrize("beta", EXTREME_BETAS)
+def test_extreme_couplings_fail_on_one_line(capsys, beta):
+    # where a route's own arithmetic leaves double precision, it says so
+    # on one line naming beta and delta: no traceback, and no blame on
+    # weights the caller never gave
+    for command in EXTREME_COMMANDS:
+        rc, _, err = run_cli(capsys, *command.split(), "--beta", beta,
+                             "--bar-omega", "1", "--delta", "0.05", "--light-speed", "1")
+        assert "Traceback" not in err and "weights must be positive" not in err, command
+        assert rc in ((0, 3) if command.startswith("validate") else (0, 1, 2)), command
+        if rc in (1, 2):
+            last = err.splitlines()[-1]
+            assert last.startswith(("error: ", "numerical failure: ")), command
 
 
 def test_spectral_commands_at_extreme_frequency_scales(capsys):

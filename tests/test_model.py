@@ -95,17 +95,22 @@ def test_counts_take_any_integer_but_bool():
 
 
 def test_overflowing_specs_are_refused():
-    # bar_omega**2, (pi*g)**2 and (pi*g/bar_omega)**2 raised OverflowError
-    # past about 1e154; a derived parameter past 1.8e308 read inf
-    for bar_omega, g in ((1e160, 0.3e160), (1.0, 1e200), (1e-160, 1e-5)):
+    # (pi*g/bar_omega)**2 raised OverflowError past g/bar_omega ~ 1e154, so
+    # that ratio alone is capped; bar_omega and g are not, and a derived
+    # parameter past 1.8e308 is refused where it would read inf
+    for bar_omega, g in ((1.0, 1e200), (1e-160, 1e-5)):
         with pytest.raises(InputError, match="capped at 1e153"):
             OhmicSystemSpec(bar_omega=bar_omega, g=g, cavity_L=1.0)
-    largest = OhmicSystemSpec(bar_omega=1e153, g=0.3e153, cavity_L=1.0)
-    assert derive_parameters(largest).beta == pytest.approx(0.3, rel=1e-15)
-    assert classify_regime(largest).kind is RegimeKind.UNDERDAMPED
+    for bar_omega in (1e153, 1e160):
+        spec = OhmicSystemSpec(bar_omega=bar_omega, g=0.3 * bar_omega, cavity_L=1.0)
+        assert derive_parameters(spec).beta == pytest.approx(0.3, rel=1e-15)
+        assert classify_regime(spec).kind is RegimeKind.UNDERDAMPED
     tiny_cavity = OhmicSystemSpec(bar_omega=1.0, g=0.3, cavity_L=1e-300, light_speed=1e10)
-    with pytest.raises(InputError, match="overflow double precision"):
-        derive_parameters(tiny_cavity)
+    # delta_omega = pi*beta*bar_omega/delta passes 1.8e308 at bar_omega = 1e307
+    huge = OhmicSystemSpec.from_dimensionless(0.3, 0.05, bar_omega=1e307)
+    for spec in (tiny_cavity, huge):
+        with pytest.raises(InputError, match="overflow double precision"):
+            derive_parameters(spec)
 
 
 def test_bool_rejected_for_float_fields():

@@ -98,7 +98,7 @@ def test_particle_weights_sum_to_one(spec):
     assert np.all(modes.weights > 0.0)
 
 
-SCALES = (1e-200, 1e-170, 1e-120, 1e-80, 1e-40, 1e40, 1e77, 1e120, 1e150)
+SCALES = (1e-200, 1e-170, 1e-120, 1e-80, 1e-40, 1e40, 1e77, 1e120, 1e150, 1e200, 1e300)
 
 
 @pytest.mark.parametrize("beta", (0.0073, 0.3, 3.0))
