@@ -9,10 +9,10 @@ evaluated three independent ways:
 * ``f00_discrete``   explicit sum over a finite or cavity mode set;
 * ``f00_quadrature`` continuum integral of the weight density
   W(w) = 2*g*w**2 / [(w**2 - bar_omega**2)**2 + (pi*g*w)**2] against
-  exp(-i*w*t): adaptive Gauss-Kronrod over [0, w_tail] on panels at most
-  half a period pi/t wide, many time points per batched pass, plus an
-  integrated-by-parts analytic tail beyond w_tail (at t = 0 the tail is
-  integrated in 1/w instead);
+  exp(-i*w*t): Legendre panels fitted once per spec and integrated against
+  the phase exactly (Filon's method) up to a cut w_tail set by t alone,
+  plus the tail beyond it by parts (at t = 0 the panels' means, and the
+  tail integrated in 1/w);
 * ``f00_closed``     pole terms plus the branch-cut integral J(t).
 
 The branch-cut piece
@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import InputError, NumericalFailure
 from .model import OhmicSystemSpec, RegimeKind, _damping
-from .quadrature import _distinct, adaptive_gk
+from .quadrature import _distinct, _fourier_sums, _legendre_panels, adaptive_gk
 from .special import ei_scaled, exp1_scaled
 from .spectrum import NormalModeSet, _checked_modes, _frozen
 
@@ -68,13 +68,13 @@ __all__ = [
 
 _QUAD_TARGET = 1e-9
 _QUAD_HARD_LIMIT = 1e-7
-_QUAD_MIN_BETA = 1e-11
+_QUAD_MIN_BETA = 1e-300
+_PANEL_TOL = 1e-13
+_GEOMETRIC_PANELS = 35
+_MAX_PAIRS = 2**25
 _BLOCK_ELEMENTS = 2**18
 _MAX_PHASES = 2**27
 _WORKER_PHASES = 2**16
-_BATCH_PANELS = 4096
-_MAX_PANELS = 2**20
-_MAX_GRID_PANELS = 2**23
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,18 +138,14 @@ def _worker_count(total, least, most) -> int:
     return max(1, min(_usable_cpus(), int(total // least), int(most)))
 
 
-def _on_threads(task, costs, least, most) -> None:
-    # task(lo, hi) on contiguous ranges of items of about equal summed cost,
-    # one range per worker: the first on the calling thread, every other
-    # one on a plain thread of its own.  numpy's ufuncs and reductions
-    # release the GIL, so the ranges run at once.  Once every thread has
-    # joined, the error of the lowest range that raised is re-raised, so
-    # which one surfaces does not depend on timing.
-    starts = np.cumsum(costs) - costs
-    total = costs.sum()
-    workers = _worker_count(total, least, most)
-    shares = total * np.arange(workers) / workers
-    bounds = _distinct(np.append(np.searchsorted(starts, shares), costs.size))[0]
+def _on_threads(task, size, workers) -> None:
+    # task(lo, hi) on `workers` contiguous ranges of about equal length of
+    # `size` items: the first on the calling thread, every other one on a
+    # plain thread of its own.  numpy's ufuncs and reductions release the
+    # GIL, so the ranges run at once.  Once every thread has joined, the
+    # error of the lowest range that raised is re-raised, so which one
+    # surfaces does not depend on timing.
+    bounds = _distinct(np.arange(workers + 1) * size // workers)[0]
     errors = [None] * (len(bounds) - 1)
 
     def run(k):
@@ -224,8 +220,8 @@ def _phase_sums(freq: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.ndar
     def run(lo, hi):
         _sum_rows(freq, weights, t[lo:hi], out[lo:hi], _BLOCK_ELEMENTS * (hi - lo) // t.size)
 
-    _on_threads(run, np.full(t.size, freq.size), _WORKER_PHASES,
-                _BLOCK_ELEMENTS // freq.size)
+    _on_threads(run, t.size, _worker_count(freq.size * t.size, _WORKER_PHASES,
+                                           _BLOCK_ELEMENTS // freq.size))
     return out
 
 
@@ -253,182 +249,122 @@ def f00_discrete(modes: NormalModeSet, weights, times) -> AmplitudeSeries:
 # continuum quadrature
 # ---------------------------------------------------------------------------
 
-def _weight_density(beta: float):
-    # 2 beta u**2 / ((u**2 - 1)**2 + (pi beta)**2 u**2): the same operations
-    # in the same order, in the two rows of one block; forming u**2 anew
-    # costs less than a third buffer.  Freed as one block, the rows raise
-    # glibc's trim threshold far enough that the heap keeps their pages for
-    # the next call: on a continuum_decay round (2-core x86 VM) that saved
-    # about 20k page faults and a third of the density time.
-    scale, damping = 2.0 * beta, (math.pi * beta) ** 2
-
-    def density(u):
-        den, out = np.empty((2, u.size))
-        np.multiply(u, u, out=den)
-        den -= 1.0
-        den *= den
-        np.multiply(u, u, out=out)
-        out *= damping
-        den += out
-        np.multiply(u, u, out=out)
-        out *= scale
-        out /= den
-        return out
-
-    return density
+def _weight_density(s, beta: float):
+    # W = 2 beta u**2 / ((u**2 - 1)**2 + (pi beta u)**2) in s = u - 1, as
+    # (2/beta) / (z**2 + pi**2) with z = s(2 + s)/(beta u): exact at the
+    # resonance, where u**2 - 1 lost eps/beta, and overflowing only where W ~ 0
+    with np.errstate(over="ignore"):
+        z = s / beta * (2.0 + s) / (1.0 + s)
+        return (2.0 / beta) / (z * z + math.pi**2)
 
 
-def _head_edges(a: float) -> np.ndarray:
-    # structural breakpoints up to w_top = 4 + 8a: half-width multiples
-    # around the resonance at 1 (its width is ~a = pi*beta/2), coarse anchors
-    w_top = 4.0 + 8.0 * a
-    offsets = a * np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
-    raw = np.concatenate(([0.0, 0.5, 2.0, 3.0, w_top], 1.0 - offsets, 1.0 + offsets))
-    pts = _distinct(np.clip(raw, 0.0, w_top))[0]
-    return pts[np.concatenate(([True], np.diff(pts) > 1e-9 * w_top))]
+def _panel_set(beta: float):
+    # one Legendre panel set per beta, in s: up to s_top = 3 + 8a, edges at
+    # +-a*2**k around the resonance (half-width a = pi*beta/2), so no two
+    # merge at any beta, and at u = 0, 0.5, 2, 3; then doubling panels to
+    # the tail cut of the smallest time allowed.  Returns w_top = 1 + s_top,
+    # the panels in u (centres, half-widths), their coefficients and tails,
+    # and their levels: 0 up to w_top, k on the k-th doubling panel.
+    a = 0.5 * math.pi * beta
+    s_top = 3.0 + 8.0 * a
+    offsets = a * 2.0 ** np.arange(-1, math.ceil(math.log2(s_top / a)))
+    head = _distinct(np.concatenate((
+        [-1.0, -0.5, 0.0, 1.0, 2.0, s_top],
+        offsets[offsets < s_top], -offsets[offsets < 1.0])))[0]
+    doubling = (1.0 + s_top) * 2.0 ** np.arange(1, _GEOMETRIC_PANELS + 1) - 1.0
+    edges = np.concatenate((head, doubling))
+    lefts, rights, coefs, tails, gaps = _legendre_panels(
+        lambda s: _weight_density(s, beta), edges, _PANEL_TOL)
+    levels = np.maximum(gaps - (head.size - 2), 0)
+    centers, halves = 1.0 + 0.5 * (lefts + rights), 0.5 * (rights - lefts)
+    top = np.flatnonzero(levels == 0)[-1]
+    return centers[top] + halves[top], centers, halves, coefs, tails, levels
 
 
-def _tail_derivatives(u0: np.ndarray, beta: float):
-    # F = N/D with N = 2 beta u**2; returns F, F', F'', F''', F'''' at each
-    # u0 by the Leibniz recurrence F^(n) = (N^(n) - sum_{j<n} C(n,j) F^(j) D^(n-j))/D.
-    pb_sq = (math.pi * beta) ** 2
-    d_derivs = [
-        (u0 * u0 - 1.0) ** 2 + pb_sq * u0 * u0,
-        4.0 * u0 * (u0 * u0 - 1.0) + 2.0 * pb_sq * u0,
-        12.0 * u0 * u0 - 4.0 + 2.0 * pb_sq,
-        24.0 * u0,
-        24.0,
-    ]
-    n_derivs = [2.0 * beta * u0 * u0, 4.0 * beta * u0, 4.0 * beta, 0.0, 0.0]
-    f_derivs = []
-    for n in range(5):
-        acc = n_derivs[n]
-        for j in range(n):
-            acc -= math.comb(n, j) * f_derivs[j] * d_derivs[n - j]
-        f_derivs.append(acc / d_derivs[0])
-    return f_derivs
-
-
-def _f00_at_zero(beta: float, head_edges):
-    head, err_h = adaptive_gk(_weight_density(beta), head_edges, 0.5 * _QUAD_TARGET)
+def _f00_at_zero(beta: float, panels):
+    # only a_0 survives at t = 0: the head is sum 2h a_0 over its panels
+    w_top, centers, halves, coefs, tails, levels = panels
+    on_head = levels == 0
+    head = (2.0 * halves * coefs[:, 0])[on_head].sum()
     # substitute v = 1/u on [w_top, inf): the image integrand is smooth
     # and bounded (-> 2 beta at v = 0), so plain panels close the total.
     def flipped(v):
         v_sq = v * v
         return 2.0 * beta / ((1.0 - v_sq) ** 2 + (math.pi * beta) ** 2 * v_sq)
 
-    tail, err_t = adaptive_gk(
-        flipped, np.linspace(0.0, 1.0 / head_edges[-1], 9), 0.5 * _QUAD_TARGET
-    )
-    return complex(head + tail), err_h + err_t
+    tail, err_t = adaptive_gk(flipped, np.linspace(0.0, 1.0 / w_top, 9), 0.5 * _QUAD_TARGET)
+    return complex(head + tail), tails[on_head].sum() + err_t
 
 
-def _f00_oscillating(beta: float, head_edges, tau, u_tail, n_panels):
-    # f00 and its error estimate at the positive times tau, with the analytic
-    # tail beyond u_tail; each time's n_panels initial panels cut its
-    # breakpoints: head_edges, then u_tail where it lies above them
-    density = _weight_density(beta)
-    knots = np.empty((tau.size, head_edges.size + 1))
-    knots[:, :-1] = head_edges
-    knots[:, -1] = u_tail
-    head = np.empty(tau.shape, dtype=complex)
-    err_h = np.empty(tau.shape)
-    starts = np.cumsum(n_panels) - n_panels
-
-    # consecutive times share an adaptive pass until it holds about
-    # _BATCH_PANELS initial panels, in each worker's range
-    def run(lo, hi):
-        batch = (starts[lo:hi] - starts[lo]) // _BATCH_PANELS
-        for idx in np.split(np.arange(lo, hi), np.flatnonzero(np.diff(batch)) + 1):
-            head[idx], err_h[idx] = adaptive_gk(
-                density,
-                [k if k[-1] > k[-2] else k[:-1] for k in knots[idx]],
-                0.5 * _QUAD_TARGET,
-                times=tau[idx],
-            )
-
-    # contiguous ranges of about equal initial-panel count, at least
-    # _BATCH_PANELS each; a worker's pass in flight holds under
-    # _BATCH_PANELS panels plus those of its last time, so the workers
-    # together never hold more than one may alone: _MAX_PANELS plus one
-    # batch.  adaptive_gk gives each time the same value whichever times
-    # share its call, so the bytes do not depend on the worker count.
-    _on_threads(run, n_panels, _BATCH_PANELS,
-                (_MAX_PANELS + _BATCH_PANELS) // (_BATCH_PANELS + n_panels.max()))
-
-    f_derivs = _tail_derivatives(u_tail, beta)
-    it = 1j * tau
-    tail = np.exp(-1j * u_tail * tau) * (
-        f_derivs[0] / it + f_derivs[1] / it**2 + f_derivs[2] / it**3 + f_derivs[3] / it**4
-    )
-    err_t = 2.0 * np.abs(f_derivs[4]) / tau**5
-    return head + tail, err_h + err_t
+def _f00_oscillating(beta: float, panels, tau):
+    # f00 and its error estimate at the positive times tau: the panels up to
+    # the first doubling edge u_tail past phase_min/tau, then the tail
+    # beyond it by parts, W(u_tail) e^{-i u_tail tau}/(i tau).  Past w_top W
+    # falls as 2 beta/u**2 and |W'| <= 2W/u, so the remainder is at most
+    # 2|W'(u_tail)|/tau**2 <= 4W/(u_tail tau**2) ~ 8 beta tau/phase**3;
+    # u_tail depends on tau alone.
+    w_top, centers, halves, coefs, tails, levels = panels
+    phase_min = np.maximum(256.0, (8.0 * beta * tau / _PANEL_TOL) ** (1.0 / 3.0))
+    level = np.clip(np.ceil(np.log2(phase_min / (tau * w_top))), 0, _GEOMETRIC_PANELS)
+    counts = np.searchsorted(levels, level, side="right")
+    if counts.sum() > _MAX_PAIRS:
+        raise InputError(
+            f"{tau.size} time points need {counts.sum():.3g} (time, panel) pairs of "
+            "continuum quadrature, more than the 2**25 that run in about 10 s; "
+            "use fewer samples"
+        )
+    head = _fourier_sums(centers, halves, coefs, tau, counts)
+    u_tail = centers[counts - 1] + halves[counts - 1]
+    w_tail = _weight_density(u_tail - 1.0, beta)
+    tail = np.exp(-1j * u_tail * tau) * (-1j * w_tail / tau)
+    err = np.cumsum(tails)[counts - 1] + 4.0 * w_tail / (u_tail * tau * tau)
+    return head + tail, err
 
 
 def f00_quadrature(spec: OhmicSystemSpec, times) -> AmplitudeSeries:
     """Survival amplitude by direct continuum integration.
 
-    Aims at 1e-9 absolute accuracy per time point and raises
-    NumericalFailure if the internal error estimate ever exceeds 1e-7 or
-    is not a number.
-    Work and memory per time point grow as t*(4*bar_omega + 4*pi*g)/pi
-    initial panels.  A time that needs more than 2**20 of them, or a grid
-    that needs more than 2**23 in all (about 10 s of work), raises
-    InputError before any quadrature runs, and so does a positive time
-    below 1e-8/(4*bar_omega + 4*pi*g), whose widest panel both rules read
-    as about 0, and so does beta = g/bar_omega below 1e-11, whose
-    resonance is too narrow for the refinement: for 0 <= t <= 60 some
-    betas below it missed 1e-7 unseen, and from beta ~ 4e-14 down f00
-    read as about 0 (``f00_closed`` covers every beta).  Grids of at
-    least 8192 initial panels run on the CPUs the process may use, in
-    contiguous time ranges of at least 4096 panels each, with no setting;
-    the bytes do not depend on how many CPUs there are.
+    The density is fitted once per spec by Legendre series on panels in
+    u - 1 (u = w/bar_omega), and each (time, panel) pair is integrated
+    exactly with sin, cos and a recurrence, no special function of the
+    closed form; a time's value does not depend on the other times.  Aims
+    at 1e-9 absolute; raises NumericalFailure if the error estimate (the
+    panels' coefficient tails plus the analytic tail's remainder) exceeds
+    1e-7 or is not a number, or a value is not finite.  On 0 <= t <= 2000
+    it held 3e-13 from beta = g/bar_omega = 1e-300 to 1e3, and 1e-12 in the
+    critical band (against 50 digits).  InputError refuses beta below 1e-300,
+    a positive t below 1e-8/(4*bar_omega + 4*pi*g), and a grid of more than
+    2**25 (time, panel) pairs, about 10 s on one CPU (20 to 2000 panels a
+    time, more at weaker coupling).  It starts no thread.
     """
     t_arr = _validate_times(times)
     beta, tau = spec.g / spec.bar_omega, spec.bar_omega * t_arr
     if beta < _QUAD_MIN_BETA:
         raise InputError(f"continuum quadrature needs beta >= {_QUAD_MIN_BETA:g}, "
                          f"got {beta:.6g}; the closed form covers it")
-    head_edges = _head_edges(0.5 * math.pi * beta)
-    w_top = head_edges[-1]
+    panels = _panel_set(beta)
+    w_top = panels[0]
     if np.any((tau > 0.0) & (tau < 1e-8 / w_top)):
         raise InputError("continuum quadrature needs t = 0 or "
                          f"t >= {1e-8 / w_top / spec.bar_omega:.6g}")
     values = np.empty(t_arr.shape, dtype=complex)
     errors = np.empty(t_arr.shape)
-    zero = tau == 0.0
-    pos = ~zero
+    pos = tau > 0.0
     if pos.any():
-        # the analytic tail starts once the phase u*tau clears `phase_min`, so
-        # the four-term integration-by-parts remainder ~480 beta tau/phase**6
-        # is negligible; below it, panels of at most half a period of
-        # e^{-i u tau} cover [0, u_tail] (Gauss error ~6e-13 relative on each)
-        tau_pos = tau[pos]
-        phase_min = np.maximum(
-            256.0, (480.0 * beta * tau_pos / (0.25 * _QUAD_TARGET)) ** (1.0 / 6.0))
-        u_tail = np.maximum(w_top, phase_min / tau_pos)
-        n_panels = head_edges.size + u_tail * tau_pos / math.pi
-        if not n_panels.max() <= _MAX_PANELS:
-            raise InputError(
-                f"t = {t_arr.max():.6g} needs {n_panels.max():.3g} quadrature panels, "
-                f"more than the {_MAX_PANELS} that fit in about 0.7 GB; keep t below "
-                f"{(_MAX_PANELS - head_edges.size) * math.pi / (w_top * spec.bar_omega):.6g}"
-                " for this spec"
-            )
-        if n_panels.sum() > _MAX_GRID_PANELS:
-            raise InputError(
-                f"{tau_pos.size} time points need {n_panels.sum():.3g} quadrature panels "
-                f"in all, more than the {_MAX_GRID_PANELS} that run in about 10 s; use "
-                "fewer samples or a smaller t_max"
-            )
-        values[pos], errors[pos] = _f00_oscillating(beta, head_edges, tau_pos, u_tail, n_panels)
-    if zero.any():
-        values[zero], errors[zero] = _f00_at_zero(beta, head_edges)
+        # past t ~ 1e290/bar_omega the phases overflow: the NaN value is
+        # refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            values[pos], errors[pos] = _f00_oscillating(beta, panels, tau[pos])
+    if not pos.all():
+        values[~pos], errors[~pos] = _f00_at_zero(beta, panels)
     worst = errors.max()
     if not worst <= _QUAD_HARD_LIMIT:
         raise NumericalFailure(
             f"continuum quadrature error estimate {worst:.3e} is not within 1e-7"
         )
+    if not np.all(np.isfinite(values)):
+        raise NumericalFailure("continuum quadrature gave a non-finite value; "
+                               f"t = {t_arr.max():.6g} leaves double precision")
     return AmplitudeSeries(
         times=t_arr,
         values=values,

@@ -254,6 +254,7 @@ def cmd_cavity(cfg: dict) -> tuple[str, int]:
         ("eq11_variant", variant),
         _grid(times),
         ("summary", f"grid_min={curve.min():.17g}"),
+        ("summary", f"missing_weight={1.0 - math.fsum(modes.weights):.17g}"),
         ("summary", f"analytic_min_bound={bound.min_probability:.17g}"),
     ]
     if regime == "strong":

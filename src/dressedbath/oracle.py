@@ -324,18 +324,22 @@ def cross_validate(spec: OhmicSystemSpec) -> ValidationReport:
     _guarded(checks, notes, "branch-cut power-law tail", 0.0, 5e-3, check_tail)
 
     def check_variants():
-        wide_modes = finite(replace(spec, n_modes=400))
-        gaps = {}
-        for variant in ("paper", "rederived"):
-            gaps[variant] = float(np.max(np.abs(
-                cavity(variant).frequencies[:40] / wide_modes.frequencies[:40] - 1.0
-            )))
+        # gated on the rederived gap alone; the note names a published refusal
+        wide = finite(replace(spec, n_modes=400)).frequencies[:40]
+
+        def gap(variant):
+            return float(np.max(np.abs(cavity(variant).frequencies[:40] / wide - 1.0)))
+
+        rederived = gap("rederived")
+        try:
+            published = f"{gap('paper'):.3e}"
+        except DressedBathError as exc:
+            published = f"refused ({type(exc).__name__}: {exc})"
         notes.append(
             "cotangent constant adjudication vs 400-mode bath: rederived "
-            f"variant max relative gap {gaps['rederived']:.3e}, published "
-            f"variant {gaps['paper']:.3e}"
+            f"variant max relative gap {rederived:.3e}, published variant {published}"
         )
-        return gaps["rederived"]
+        return rederived
 
     _guarded(checks, notes, "cavity cotangent constant vs finite bath", 0.0, 1e-3,
              check_variants)

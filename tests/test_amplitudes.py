@@ -104,7 +104,7 @@ def _no_thread(*args, **kwargs):
 
 
 def test_worker_count_bounds(monkeypatch):
-    # the one worker policy, as the mode sums and the quadrature call it
+    # the one worker policy, as the mode sums call it
     monkeypatch.setattr(amplitudes.os, "sched_getaffinity", lambda pid: set(range(8)),
                         raising=False)
     count = amplitudes._worker_count
@@ -122,40 +122,16 @@ def test_worker_count_bounds(monkeypatch):
         amplitudes._phase_sums(freq, np.full(modes, 1.0 / modes), np.array([0.5]))
 
 
-def test_quadrature_worker_count_bounds(monkeypatch):
-    # the same policy with the quadrature's arguments: panels per worker and
-    # panels in flight
-    monkeypatch.setattr(amplitudes, "_usable_cpus", lambda: 8)
-    batch, most = amplitudes._BATCH_PANELS, amplitudes._MAX_PANELS
-    half = most // 2
-
-    def count(n_panels):
-        n_panels = np.asarray(n_panels)
-        return amplitudes._worker_count(
-            n_panels.sum(), batch, (most + batch) // (batch + n_panels.max()))
-
-    assert count(np.full(100, 81.0)) == 1  # under two batches: calling thread
-    assert count(np.full(100, 82.0)) == 2  # at least 4096 panels a worker
-    assert count(np.full(10**4, 100.0)) == 8  # one per CPU
-    assert count(np.full(8, half - 4096.0)) == 2  # in flight: at most one
-    assert count(np.full(8, half + 1.0)) == 1  # worker's 2**20 plus a batch
-    assert count([10.0] * 10**5 + [half + 1.0]) == 1
-
 def _run_phase_sums():
     amplitudes._phase_sums(*_phase_sum_case())
 
 
-def _run_quadrature():
-    f00_quadrature(_unit_spec(8.5), np.linspace(0.0, 60.0, 32))
-
-
 @pytest.mark.parametrize("kernel, call", [
     pytest.param("_sum_rows", _run_phase_sums, id="phase-sums"),
-    pytest.param("adaptive_gk", _run_quadrature, id="quadrature"),
 ])
 def test_threads_reraise_a_worker_error_after_joining(monkeypatch, kernel, call):
-    # both users of the thread helper: a worker's error surfaces only once
-    # every thread has joined
+    # the thread helper's user: a worker's error surfaces only once every
+    # thread has joined
     real = getattr(amplitudes, kernel)
 
     def failing(*args, **kwargs):
@@ -235,24 +211,29 @@ def test_J_analytic_agrees_with_direct_quadrature(g):
         assert abs(j_a - j_q) <= 1e-10 + 1e-8 * abs(j_a)
 
 
+def _J_mp(g, t):
+    # the closed forms of the underdamped and overdamped regimes (bar_omega
+    # 1), at the caller's working precision
+    g, t = mp.mpf(g), mp.mpf(t)
+    a = mp.pi * g / 2
+    kappa_sq = 1 - a * a
+    if kappa_sq > 0:
+        root = mp.mpc(a, mp.sqrt(kappa_sq))
+        z = root * t
+        diff = mp.exp(-z) * mp.e1(-z) - mp.exp(z) * mp.e1(z)
+        return mp.im(root * diff) / (mp.pi * mp.sqrt(kappa_sq))
+    kappa = mp.sqrt(-kappa_sq)
+
+    def term(y):
+        x = y * t
+        return y * (mp.exp(-x) * mp.ei(x) + mp.exp(x) * mp.e1(x))
+
+    return -(term(a + kappa) - term(a - kappa)) / (2 * mp.pi * kappa)
+
+
 def _J_50_digits(g, t):
-    # the closed forms of the underdamped and overdamped regimes (bar_omega 1)
     with mp.workdps(50):
-        g, t = mp.mpf(g), mp.mpf(t)
-        a = mp.pi * g / 2
-        kappa_sq = 1 - a * a
-        if kappa_sq > 0:
-            root = mp.mpc(a, mp.sqrt(kappa_sq))
-            z = root * t
-            diff = mp.exp(-z) * mp.e1(-z) - mp.exp(z) * mp.e1(z)
-            return float(mp.im(root * diff) / (mp.pi * mp.sqrt(kappa_sq)))
-        kappa = mp.sqrt(-kappa_sq)
-
-        def term(y):
-            x = y * t
-            return y * (mp.exp(-x) * mp.ei(x) + mp.exp(x) * mp.e1(x))
-
-        return float(-(term(a + kappa) - term(a - kappa)) / (2 * mp.pi * kappa))
+        return float(_J_mp(g, t))
 
 
 @pytest.mark.parametrize("g, t", [
@@ -284,6 +265,9 @@ def test_J_quadrature_calls_no_special_function(monkeypatch):
     for spec, ref in zip(specs, want):
         got = bath_integral_J(spec, t, method="quadrature")
         assert np.allclose(got, ref, rtol=1e-8, atol=0.0)
+    # nor does the continuum quadrature of f00, which audits the closed form
+    for spec in specs:
+        f00_quadrature(spec, np.concatenate(([0.0], t)))
 
 
 def test_J_short_time_limits():
@@ -374,9 +358,11 @@ def test_closed_form_is_exactly_one_at_t_zero():
 
 
 def test_quadrature_sum_rule_at_t_zero():
-    spec = OhmicSystemSpec(bar_omega=1.0, g=0.7, cavity_L=1.0, light_speed=1.0)
-    series = f00_quadrature(spec, np.array([0.0]))
-    assert abs(series.values[0] - 1.0) < 1e-9
+    # at t = 0 only each panel's mean survives, plus the tail in 1/u
+    for g in (1e-300, 1e-100, 1e-11, 1e-3, 0.3, 2.0 / math.pi, 0.7, 30.0, 1e5):
+        spec = OhmicSystemSpec(bar_omega=1.0, g=g, cavity_L=1.0, light_speed=1.0)
+        series = f00_quadrature(spec, np.array([0.0]))
+        assert abs(series.values[0] - 1.0) <= 1e-15
 
 
 BETAS = [1.0 / 137, 0.01, 0.3, 2.0 / math.pi, 3.0, 10.0, 30.0]
@@ -398,77 +384,62 @@ def test_quadrature_values_do_not_depend_on_the_batch(g):
         assert np.array_equal(chunk, full[start : start + 64])
 
 
-def _quadrature_case(name):
-    # t = 0 in every grid; the weak peak refines (7.9k initial panels),
-    # the strong grid has 34k initial panels in eight batches
-    g, t_max, samples = {"weak": (0.0073, 200.0, 50), "strong": (8.5, 60.0, 32)}[name]
-    return _unit_spec(g), np.linspace(0.0, t_max, samples)
-
-
-@pytest.mark.parametrize("name", ["weak", "strong"])
-def test_quadrature_worker_count_does_not_change_bytes(monkeypatch, name):
-    # two and three ranges of equal initial-panel count put their seams
-    # inside batches of _BATCH_PANELS; no byte may move
-    spec, t = _quadrature_case(name)
-    out = {}
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(amplitudes, "_worker_count", lambda *args, w=workers: w)
-        out[workers] = f00_quadrature(spec, t).values.tobytes()
-    assert out[1] == out[2] == out[3]
-
-
-def test_quadrature_threads_under_stress(monkeypatch):
-    # more workers than cores, switching threads every microsecond: the
-    # ranges write disjoint slices, so no value may be lost or moved
-    spec, t = _quadrature_case("strong")
+def test_quadrature_threads_under_stress():
+    # the route keeps no state between calls: callers' threads that run it
+    # at once, switching every microsecond, each get the bytes of a lone call
+    spec, t = _unit_spec(8.5), np.linspace(0.0, 60.0, 32)
     reference = f00_quadrature(spec, t).values.tobytes()
-    monkeypatch.setattr(amplitudes, "_worker_count", lambda *args: 16)
-    before = threading.active_count()
+    got = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        start = time.perf_counter()
-        for _ in range(3):
-            assert f00_quadrature(spec, t).values.tobytes() == reference
-        assert time.perf_counter() - start < 30.0
+        threads = [threading.Thread(target=lambda: got.append(
+            f00_quadrature(spec, t).values.tobytes())) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
     finally:
         sys.setswitchinterval(interval)
-    assert threading.active_count() == before
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [reference] * 4
 
 
 def test_small_quadrature_grids_start_no_thread(monkeypatch):
     # the median block of the continuum benchmark (critical band, 72 times
-    # to t = 30: 6780 initial panels) stays on the calling thread even
-    # with many CPUs; the strong grid of 34k panels does not
+    # to t = 30) and a strong grid once split over seven threads both stay
+    # on the calling thread, with many CPUs
     monkeypatch.setattr(amplitudes, "_usable_cpus", lambda: 8)
-    real = threading.Thread
     monkeypatch.setattr(amplitudes.threading, "Thread", _no_thread)
     f00_quadrature(_unit_spec(2.0 / math.pi), np.linspace(0.0, 30.0, 72))
-    started = []
-
-    def counted(*args, **kwargs):
-        started.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(amplitudes.threading, "Thread", counted)
-    f00_quadrature(*_quadrature_case("strong"))
-    assert len(started) == 7
+    f00_quadrature(_unit_spec(8.5), np.linspace(0.0, 60.0, 32))
 
 
 def test_quadrature_refuses_oversized_time_grids():
-    # at g = 8.5 each time point needs about 11.1*t initial panels, so
-    # t = 3e5 asks for 1.06e7 of them (about 7 GB); the limit is 2**20
+    # t = 3e5 at g = 8.5 once needed 1.06e7 half-period panels and was
+    # refused; on one panel set per spec it costs what t = 1 does
+    spec = _unit_spec(8.5)
+    t = np.array([0.0, 1.0, 3e5])
+    gap = np.abs(f00_quadrature(spec, t).values - f00_closed(spec, t).values)
+    assert gap.max() <= 1e-9
+    # the one guard left is on (time, panel) pairs: 1e6 times at beta
+    # 1e-90, about 600 panels each, are refused before any is summed
     start = time.perf_counter()
-    with pytest.raises(InputError, match="panels"):
-        f00_quadrature(_unit_spec(8.5), [0.0, 1.0, 3e5])
-    assert time.perf_counter() - start < 0.5
-    # each time of this grid stays under that limit (t < 29726.9), but the
-    # 200 of them need about 1.05e8 panels in all, minutes of work; the
-    # limit on the whole grid is 2**23
-    start = time.perf_counter()
-    with pytest.raises(InputError, match="panels in all"):
-        f00_quadrature(_unit_spec(8.5), np.linspace(0.0, 29700.0, 200))
-    assert time.perf_counter() - start < 0.5
+    with pytest.raises(InputError, match="pairs"):
+        f00_quadrature(_unit_spec(1e-90), np.linspace(0.0, 50.0, 10**6))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_quadrature_holds_at_long_times():
+    # each panel's integral and the tail W(u) e^{-iut}/(it) stay finite up
+    # to t ~ 1e290, where f00 ~ 4 beta/t**3 (a tail in powers of i*t once
+    # overflowed to NaN from t ~ 1e77); past that the phases overflow, and
+    # the route refuses rather than return NaN
+    spec = _unit_spec(0.3)
+    values = f00_quadrature(spec, [1e6, 1e15, 1e100, 1e290]).values
+    assert np.all(np.abs(values) <= 1e-12)
+    with pytest.raises(NumericalFailure, match="non-finite"):
+        f00_quadrature(spec, [1e300])
 
 
 def test_quadrature_refuses_times_below_its_floor():
@@ -484,27 +455,34 @@ def test_quadrature_refuses_times_below_its_floor():
 
 def test_quadrature_refuses_a_nan_error_estimate(monkeypatch):
     # a NaN estimate compares False with any limit, so it must be refused
-    # as such; a NaN tail derivative gives one
+    # as such; a NaN coefficient tail gives one
     spec = OhmicSystemSpec(bar_omega=1e80, g=0.3e80, cavity_L=1.0, light_speed=1.0)
     t = np.linspace(0.0, 30.0 / spec.bar_omega, 7)
     # at this scale the analytic tail overflowed to NaN while the routes
     # worked in absolute units, and f00(0) read 0.0777
     assert abs(f00_quadrature(spec, [0.0]).values[0] - 1.0) <= 1e-9
-    monkeypatch.setattr(amplitudes, "_tail_derivatives",
-                        lambda u0, beta: [np.full(u0.shape, np.nan)] * 5)
+    real = amplitudes._legendre_panels
+
+    def nan_tails(*args):
+        lefts, rights, coefs, tails, gaps = real(*args)
+        return lefts, rights, coefs, np.full(tails.shape, np.nan), gaps
+
+    monkeypatch.setattr(amplitudes, "_legendre_panels", nan_tails)
     with pytest.raises(NumericalFailure, match="estimate nan"):
         f00_quadrature(spec, t)
 
 
 def test_quadrature_refuses_couplings_it_cannot_resolve():
-    # below beta = 1e-11 the resonance is too narrow for the refinement; at
-    # beta 1e-20 the quadrature once returned |f00| < 1e-16 with no error
+    # below beta = 1e-300, 2/beta nears overflow in the density; the panels
+    # in the offset u - 1 resolve every resonance above it, where panels in
+    # u once read |f00| < 1e-16 at beta 1e-20 with no error
     t = np.linspace(0.0, 60.0, 61)
-    with pytest.raises(InputError, match="beta >= 1e-11"):
-        f00_quadrature(_unit_spec(1e-20), t)
-    spec = _unit_spec(1e-7)
-    gap = np.abs(f00_quadrature(spec, t).values - f00_closed(spec, t).values)
-    assert gap.max() <= 1e-9
+    with pytest.raises(InputError, match="beta >= 1e-300"):
+        f00_quadrature(_unit_spec(1e-301), t)
+    for beta in (1e-300, 1e-20, 1e-7):
+        spec = _unit_spec(beta)
+        gap = np.abs(f00_quadrature(spec, t).values - f00_closed(spec, t).values)
+        assert gap.max() <= 1e-9
 
 
 # every damping regime, at scales where bar_omega**2 underflows (1e-170)
@@ -560,6 +538,78 @@ def test_closed_form_matches_quadrature_across_the_critical_band(
     t = np.geomspace(1e-3, 60.0, 24) / bar_omega
     gap = np.abs(f00_quadrature(spec, t).values - f00_closed(spec, t).values)
     assert gap.max() <= 5e-10
+
+
+# the sweep of the continuum quadrature: t = 0, a fine linear grid, a
+# geometric one down to the short-time limit and seeded uniform times
+SWEEP_TIMES = np.concatenate((
+    [0.0], np.linspace(0.0, 60.0, 1201), np.geomspace(1e-7, 2000.0, 200),
+    np.random.default_rng(27).uniform(0.0, 60.0, 300)))
+
+
+def sweep_betas():
+    """20 betas a decade from the quadrature's floor to 1e3, then the
+    critical band, kappa**2 from +-1e-9 to +-1e-4 (20 a decade each side)."""
+    kappa_sq = 10.0 ** (np.arange(-180, -79) / 20.0)
+    band = 2.0 / math.pi * np.sqrt(1.0 - np.concatenate((kappa_sq, -kappa_sq)))
+    return np.concatenate((10.0 ** (np.arange(-6000, 61) / 20.0), band))
+
+
+def _f00_50_digits(g, t):
+    # pole term plus i J(t) off the critical point (bar_omega 1), summed at
+    # 50 digits: near it both reach a/kappa and cancel
+    with mp.workdps(50):
+        a = mp.pi * mp.mpf(g) / 2
+        kappa_sq = 1 - a * a
+        if kappa_sq > 0:
+            kappa = mp.sqrt(kappa_sq)
+            pole = (1 - 1j * a / kappa) * mp.exp(-mp.mpc(a, kappa) * t)
+        else:
+            kappa = mp.sqrt(-kappa_sq)
+            q, p = a + kappa, 1 / (a + kappa)
+            pole = (q * mp.exp(-q * t) - p * mp.exp(-p * t)) / (2 * kappa)
+        return complex(pole + 1j * _J_mp(g, t))
+
+
+def sweep_errors(beta):
+    """The continuum quadrature on SWEEP_TIMES from the two pieces that
+    f00_quadrature joins, its errors and its own error estimates.  Each
+    error is the gap to f00_closed, unless that gap is above 1e-12 and above
+    the estimate: there the closed form may be the one off (near the
+    critical band it loses digits), so the error is read against 50 digits."""
+    panels = amplitudes._panel_set(beta)
+    pos = SWEEP_TIMES > 0.0
+    quad, estimate = np.empty(SWEEP_TIMES.shape, dtype=complex), np.empty(SWEEP_TIMES.shape)
+    quad[pos], estimate[pos] = amplitudes._f00_oscillating(beta, panels, SWEEP_TIMES[pos])
+    quad[~pos], estimate[~pos] = amplitudes._f00_at_zero(beta, panels)
+    error = np.abs(quad - f00_closed(_unit_spec(beta), SWEEP_TIMES).values)
+    for i in np.flatnonzero((error > 1e-12) & (error > estimate)):
+        error[i] = abs(quad[i] - _f00_50_digits(beta, SWEEP_TIMES[i]))
+    return quad, error, estimate
+
+
+@pytest.mark.parametrize("beta", [
+    1e-300, 1e-100, 1e-14, 1e-6, 1.0 / 137, 0.3, 2.0 / math.pi * math.sqrt(1.0 - 1e-6),
+    2.0 / math.pi * math.sqrt(1.0 + 3e-9), 8.5, 1e3])
+def test_quadrature_sweep_meets_the_closed_form(beta):
+    # a few betas of the full sweep: 1e-9 at every time, and an error
+    # estimate at least the error wherever that is above 1e-12
+    quad, error, estimate = sweep_errors(beta)
+    assert np.array_equal(f00_quadrature(_unit_spec(beta), SWEEP_TIMES).values, quad)
+    assert error.max() <= 1e-9
+    big = error > 1e-12
+    assert np.all(estimate[big] >= error[big])
+    assert estimate.max() <= 1e-9
+
+
+def test_quadrature_resolves_the_resonance_at_beta_1_1943e_11():
+    # panels in u put breakpoints 1e-11 apart near u = 1, where u**2 - 1
+    # lost about eps/beta relative: the route missed f00_closed by 1.06e-7
+    # here with no error
+    spec = _unit_spec(1.1943e-11)
+    t = np.arange(1201) * 0.05
+    gap = np.abs(f00_quadrature(spec, t).values - f00_closed(spec, t).values)
+    assert gap.max() <= 1e-9
 
 
 def test_amplitude_is_continuous_across_the_critical_point():

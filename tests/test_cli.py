@@ -236,6 +236,22 @@ def test_cavity_weak_summary(capsys):
     assert data_rows(out).shape == (200, 2)
 
 
+@pytest.mark.parametrize("beta, delta, low, high", [
+    # the resonance near k ~ 2*delta/(pi*beta) ~ 1.9e5 lies past k_max = 2000,
+    # so nearly all the weight is missing; the curve alone read
+    # grid_min = 3.6e-23 with no sign of it
+    ("1e-6", "0.3", 0.99, 1.0),
+    ("0.3", "0.05", 0.0, 1e-3),
+])
+def test_cavity_prints_its_missing_weight(capsys, beta, delta, low, high):
+    rc, out, _ = run_cli(capsys, "cavity", "--bar-omega", "1", "--light-speed", "1",
+                         "--beta", beta, "--delta", delta)
+    assert rc == 0
+    entries, parsed = summaries(out)
+    assert entries[1].startswith("missing_weight=")
+    assert low < parsed["missing_weight"] < high
+
+
 def test_cavity_strong_summary(capsys):
     base = ("cavity", "--bar-omega", "2e10", "--beta", "10.0",
             "--regime", "strong")
@@ -345,7 +361,7 @@ def test_invalid_thread_env(tmp_path, monkeypatch, capsys):
 ], ids=["cavity-weak", "decay-discrete", "decay-quadrature", "brownian-quadrature",
         "validate"])
 def test_mode_sum_worker_count_does_not_change_output(monkeypatch, capsys, args):
-    # mode sums and continuum quadrature on one and on two workers
+    # mode sums on one and on two workers; continuum quadrature starts none
     outputs = []
     for workers in (1, 2):
         monkeypatch.setattr(amplitudes, "_worker_count", lambda *args, n=workers: n)
@@ -429,18 +445,22 @@ def test_spectral_commands_at_extreme_frequency_scales(capsys):
 
 
 def test_oversized_quadrature_grid_fails_fast(capsys):
-    # one time over the per-time limit, then a 200-sample grid whose times
-    # are each under it but whose panels in all are over the grid limit
-    for command, t_max, message in (("decay", "300000", "keep t below"),
-                                    ("brownian", "29700", "panels in all")):
+    # t_max = 3e5 at beta 8.5 once needed 1e7 half-period panels a time and
+    # was refused; on one panel set per spec it runs.  The one grid guard
+    # left counts (time, panel) pairs: 10**6 samples at beta 1e-90, about
+    # 600 panels each, are refused on one line before any is summed
+    unit = ("--bar-omega", "1.0", "--delta", "0.05", "--light-speed", "1.0")
+    rc, out, _ = run_cli(capsys, "decay", "--method", "quadrature", "--beta", "8.5",
+                         "--t-max", "300000", *unit)
+    assert rc == 0 and out.count("\n") == 207
+    for command in ("decay", "brownian"):
         start = time.perf_counter()
-        rc, _, err = run_cli(capsys, command, "--method", "quadrature",
-                             "--bar-omega", "1.0", "--beta", "8.5",
-                             "--delta", "0.05", "--light-speed", "1.0",
-                             "--t-max", t_max)
-        assert rc == 1
-        assert message in err
+        rc, out, err = run_cli(capsys, command, "--method", "quadrature", "--beta", "1e-90",
+                               "--samples", "1000000", *unit)
         assert time.perf_counter() - start < 0.5
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "(time, panel) pairs" in err
 
 
 def test_oversized_spectrum_and_mode_sum_fail_fast(capsys):

@@ -290,3 +290,17 @@ def test_cross_validate_solves_each_route_once(monkeypatch):
     assert set(finite.values()) == {1} and len(finite) == 2
     assert cavity == Counter({"paper": 1, "rederived": 1})
     assert sum(jacobi.values()) == 1
+
+
+def test_cavity_adjudication_gates_on_the_rederived_gap_alone():
+    # at beta 1e-3, delta 0.05 the published solve's weights sum past 1 and
+    # it refuses; the check once read NaN from that refusal.  It reads the
+    # rederived gap, and the note names the published variant's refusal.
+    spec = OhmicSystemSpec.from_dimensionless(beta=1e-3, delta=0.05, n_modes=20)
+    report = cross_validate(spec)
+    check = {c.name: c for c in report.checks}["cavity cotangent constant vs finite bath"]
+    assert check.passed and math.isfinite(check.computed)
+    note = next(n for n in report.notes if n.startswith("cotangent constant adjudication"))
+    assert note.endswith("published variant refused (InputError: weights must sum to at most 1)")
+    assert f"rederived variant max relative gap {check.computed:.3e}" in note
+    assert not any("raised" in n for n in report.notes)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -71,109 +72,104 @@ def test_determinism():
     assert v1 == v2 and e1 == e2
 
 
-def _split_to_width(edges, max_width):
-    # the private cutter's panels as one boundary list
-    edges = np.asarray(edges, dtype=float)
-    lefts, rights, _ = quadrature._split_to_width(edges[:-1], edges[1:], max_width)
-    assert np.array_equal(rights[:-1], lefts[1:])
-    return np.append(lefts, rights[-1])
-
-
-def test_split_to_width():
-    edges = _split_to_width([0.0, 1.0, 10.0], 0.7)
-    assert edges[0] == 0.0 and edges[-1] == 10.0
-    assert np.all(np.diff(edges) > 0)
-    assert np.max(np.diff(edges)) <= 0.7 + 1e-12
-    assert 1.0 in edges  # original boundaries survive
-
-
-def _split_by_linspace(edges, max_width):
-    # the per-gap definition the cutter must reproduce bit for bit
-    edges = np.asarray(edges, dtype=float)
-    pieces = []
-    for left, right in zip(edges[:-1], edges[1:]):
-        n_sub = max(int(np.ceil((right - left) / max_width)), 1)
-        pieces.append(np.linspace(left, right, n_sub + 1)[:-1])
-    pieces.append(edges[-1:])
-    return np.concatenate(pieces)
-
-
-def test_split_to_width_matches_linspace_definition():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        n = int(rng.integers(2, 30))
-        edges = np.cumsum(rng.exponential(1.0, n) * 10.0 ** rng.uniform(-3, 3, n))
-        width = 10.0 ** rng.uniform(-3, 2)
-        new = _split_to_width(edges, width)
-        assert np.array_equal(new, _split_by_linspace(edges, width))
-
-
-def test_batched_fourier_call_matches_scalar_calls():
-    times = np.array([0.3, 4.0, 25.0])
-    edges = [np.linspace(0.0, 10.0, 3 + 5 * k) for k in range(times.size)]
-    vals, errs = adaptive_gk(lambda w: 1.0 / (1.0 + w * w), edges, 1e-12, times=times)
-    for t, e, v, err in zip(times, edges, vals, errs):
-        # the batched call cuts its panels to half a period pi/t first
-        ref, ref_err = adaptive_gk(
-            lambda w: 1.0 / (1.0 + w * w) * np.exp(-1j * w * t),
-            _split_to_width(e, math.pi / t), 1e-12)
-        assert v == pytest.approx(ref, abs=1e-15)
-        assert err == pytest.approx(ref_err, abs=1e-15)
-
-
 def test_batched_fourier_call_of_a_constant():
-    times = np.array([1e-3, 0.5, 1.0, 7.0, 40.0])
-    vals, errs = adaptive_gk(np.ones_like, [[0.0, 1.0]] * times.size, 1e-13, times=times)
+    # one panel [0, 1] whose Legendre series is 1: a_0 = 1, the rest 0
+    times = np.array([1e-3, 0.5, 1.0, 7.0, 40.0, 1e4])
+    coefs = np.zeros((1, 20))
+    coefs[0, 0] = 1.0
+    vals = quadrature._fourier_sums(np.array([0.5]), np.array([0.5]), coefs, times,
+                                    np.ones(times.size, int))
     # (1 - e^{-it})/(it), written as e^{-it/2} sin(t/2)/(t/2) so it does
     # not cancel at small t
     exact = np.exp(-0.5j * times) * np.sinc(times / (2.0 * math.pi))
     assert np.max(np.abs(vals - exact)) < 2e-15
-    assert np.all(errs <= 1e-13)
 
 
-def test_batched_call_cuts_breakpoints_into_half_periods():
-    # the first pass evaluates 15 nodes on each of ceil(width*t/pi) equal
-    # panels per gap, all at most pi/t wide
-    calls = []
-
-    def counted(w):
-        calls.append(w.copy())
-        return np.ones_like(w)
-
-    times = np.array([0.5, 7.0, 40.0])
-    edges = [[0.0, 10.0], [0.0, 2.0, 10.0], [0.0, 10.0]]
-    adaptive_gk(counted, edges, 1e-13, times=times)
-    want = [sum(math.ceil(width * t / math.pi) for width in np.diff(e))
-            for t, e in zip(times, edges)]
-    assert calls[0].size == 15 * sum(want)
-    nodes = calls[0].reshape(15, -1)
-    assert np.all(nodes.min(axis=0) >= 0.0) and np.all(nodes.max(axis=0) <= 10.0)
-    span = nodes.max(axis=0) - nodes.min(axis=0)
-    owner = np.repeat(np.arange(times.size), want)
-    assert np.all(span < math.pi / times[owner])
-
-
-def test_batched_refinement_is_per_time():
-    # the spike forces refinement at every time; each time's result must
-    # not depend on which other times share the call
-    spike = lambda w: 1.0 / ((w - 0.3) ** 2 + 1e-6)  # noqa: E731
-    times = np.array([0.1, 3.0, 50.0])
-    edges = [[0.0, 1.0], [0.0, 0.5, 1.0], np.linspace(0.0, 1.0, 9)]
-    vals, errs = adaptive_gk(spike, edges, 1e-9, times=times)
+def test_batched_fourier_call_matches_scalar_calls():
+    # each time sums its own prefix of the panels; its value must not depend
+    # on which times share the call, nor on the panels past its prefix
+    rng = np.random.default_rng(3)
+    edges = np.cumsum(rng.exponential(0.3, 41))
+    func = lambda w: np.cos(w) / (1.0 + w * w)  # noqa: E731
+    lefts, rights, coefs, _, _ = quadrature._legendre_panels(func, edges, 1e-13)
+    centers, halves = 0.5 * (lefts + rights), 0.5 * (rights - lefts)
+    times = np.concatenate((rng.uniform(0.0, 60.0, 200), [0.0, 19.999, 20.0, 3e5]))
+    counts = rng.integers(1, lefts.size + 1, times.size)
+    vals = quadrature._fourier_sums(centers, halves, coefs, times, counts)
     for k in range(times.size):
-        alone, alone_err = adaptive_gk(spike, edges[k:k + 1], 1e-9, times=times[k:k + 1])
-        assert vals[k] == alone[0] and errs[k] == alone_err[0]
-        assert errs[k] <= 1e-9
+        n = counts[k]
+        alone = quadrature._fourier_sums(centers[:n], halves[:n], coefs[:n],
+                                         times[k:k + 1], counts[k:k + 1])
+        assert vals[k] == alone[0]
 
 
-def test_batched_call_needs_one_edge_list_per_time():
+def test_fourier_sums_integrate_a_smooth_function():
+    # int_0^b cos(w) e^{-iwt}/(1 + w**2) dw on fitted panels against a
+    # Gauss-Kronrod integral of the phased integrand
+    edges = np.linspace(0.0, 12.0, 25)
+    func = lambda w: np.cos(w) / (1.0 + w * w)  # noqa: E731
+    lefts, rights, coefs, tails, _ = quadrature._legendre_panels(func, edges, 1e-14)
+    centers, halves = 0.5 * (lefts + rights), 0.5 * (rights - lefts)
+    times = np.array([0.0, 0.3, 2.0, 9.5, 40.0, 300.0])
+    vals = quadrature._fourier_sums(centers, halves, coefs, times,
+                                    np.full(times.size, lefts.size))
+    for t, v in zip(times, vals):
+        ref, _ = adaptive_gk(lambda w, t=t: func(w) * np.exp(-1j * w * t),
+                             np.linspace(0.0, 12.0, 1 + int(4 * t) + 24), 1e-14)
+        assert abs(v - ref) <= 1e-13 + tails.sum()
+
+
+def test_legendre_panels_refine_on_the_function_alone():
+    # a spike is split until each panel's coefficient tail meets the
+    # tolerance; the panels before a cut are the same with or without the
+    # edges past it
+    spike = lambda w: 1.0 / ((w - 0.3) ** 2 + 1e-6)  # noqa: E731
+    lefts, rights, coefs, tails, gaps = quadrature._legendre_panels(
+        spike, [0.0, 0.5, 1.0, 2.0], 1e-13)
+    _, _, floors = quadrature._legendre_fit(spike, lefts, rights)
+    assert np.all(tails <= np.maximum(1e-13, floors))
+    assert np.array_equal(rights[:-1], lefts[1:]) and lefts.size > 3
+    eps = 1e-6
+    ref = (math.atan(1.7 / math.sqrt(eps)) + math.atan(0.3 / math.sqrt(eps))) / math.sqrt(eps)
+    assert (2.0 * 0.5 * (rights - lefts) * coefs[:, 0]).sum() == pytest.approx(ref, rel=1e-12)
+    short = quadrature._legendre_panels(spike, [0.0, 0.5, 1.0], 1e-13)
+    n = short[0].size
+    assert np.array_equal(gaps[:n], short[4]) and np.all(gaps[n:] == 2)
+    for full, part in zip((lefts, rights, coefs, tails), short[:4]):
+        assert np.array_equal(full[:n], part)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_legendre_panels_refuse_non_finite_values():
     with pytest.raises(NumericalFailure):
-        adaptive_gk(np.exp, [[0.0, 1.0]], 1e-9, times=[1.0, 2.0])
-    with pytest.raises(NumericalFailure):
-        adaptive_gk(np.exp, [[0.0, 1.0], [1.0, 0.0]], 1e-9, times=[1.0, 2.0])
+        quadrature._legendre_panels(lambda x: np.sqrt(x - 0.5), [0.0, 0.25, 1.0], 1e-13)
 
 
-def _reference_panels(func, lefts, rights, freqs=None):
+_BESSEL_POINTS = [0.0, 1e-8, 1e-3, 0.5] + [k * math.pi for k in range(1, 7)] + [
+    19.999, 20.0, 20.001, 100.0, 1e4]
+
+
+def test_spherical_bessel_matches_50_digits():
+    # the zeros of j_0 at k*pi, where a j_0-anchored Miller recurrence
+    # failed, and both sides of the switch to forward recurrence at 20
+    got = quadrature._spherical_bessel(np.array(_BESSEL_POINTS))
+    assert got.shape == (20, len(_BESSEL_POINTS))
+    with mp.workdps(50):
+        for i, x in enumerate(_BESSEL_POINTS):
+            for m in range(20):
+                ref = (mp.mpf(1 if m == 0 else 0) if x == 0.0 else
+                       mp.sqrt(mp.pi / (2 * mp.mpf(x))) * mp.besselj(m + mp.mpf(1) / 2, x))
+                assert abs(got[m, i] - float(ref)) <= 1e-15, (m, x)
+
+
+def test_spherical_bessel_keeps_its_shape_and_order():
+    x = np.array([[0.5, 25.0], [3.0, 0.0]])
+    got = quadrature._spherical_bessel(x)
+    assert got.shape == (20, 2, 2)
+    assert np.array_equal(got.reshape(20, 4), quadrature._spherical_bessel(x.ravel()))
+
+
+def _reference_panels(func, lefts, rights):
     # the panel-major (P, 15) einsum formulation that the node-major kernel
     # must reproduce bit for bit
     q = quadrature
@@ -181,31 +177,16 @@ def _reference_panels(func, lefts, rights, freqs=None):
     halves = 0.5 * (rights - lefts)
     nodes = centers[:, None] + halves[:, None] * q._NODES[None, :]
     fvals = np.asarray(func(nodes.ravel())).reshape(nodes.shape)
-    if freqs is not None:
-        arg = (halves * freqs)[:, None] * q._XGK_HALF[None, :7]
-        phase = np.empty(nodes.shape, dtype=complex)
-        np.cos(arg, out=phase.real[:, :7])
-        np.sin(arg, out=phase.imag[:, :7])
-        phase[:, 7] = 1.0
-        phase.real[:, 8:] = phase.real[:, 6::-1]
-        np.negative(phase.imag[:, 6::-1], out=phase.imag[:, 8:])
-        arg = centers * freqs
-        center = np.empty(arg.shape, dtype=complex)
-        np.cos(arg, out=center.real)
-        np.sin(arg, out=center.imag)
-        np.negative(center.imag, out=center.imag)
-        phase *= center[:, None]
-        phase *= fvals
-        fvals = phase
     kron = halves * np.einsum("ij,j->i", fvals, q._WGK)
     gauss = halves * np.einsum("ij,j->i", fvals[:, q._GAUSS_IDX], q._WG)
     return kron, np.abs(kron - gauss)
 
 
 def _seeded_panels(rng, n_panels):
-    # the first panels are equal parts of one gap, as the Fourier mode cuts
-    # them (so their widths repeat), the rest have random widths
-    equal = _split_to_width([0.0, rng.uniform(1.0, 30.0)], rng.uniform(0.05, 2.0))
+    # the first panels are equal parts of one gap (so their widths repeat),
+    # the rest have random widths
+    gap = rng.uniform(1.0, 30.0)
+    equal = np.linspace(0.0, gap, 1 + math.ceil(gap / rng.uniform(0.05, 2.0)))
     n_equal = min(equal.size - 1, n_panels // 2)
     lefts = np.concatenate((equal[:n_equal], rng.uniform(0.0, 40.0, n_panels - n_equal)))
     rights = np.concatenate((equal[1:n_equal + 1],
@@ -214,25 +195,20 @@ def _seeded_panels(rng, n_panels):
 
 
 _KERNEL_INTEGRANDS = {
-    # a real integrand phased by the times, with exact zeros of either sign
-    "complex-with-times": (lambda w: np.where(w % 3.0 < 0.2, -0.0 * w, 1.0 / (1.0 + w * w)), True),
-    "real": (lambda w: np.sin(3.0 * w) / (1.0 + w), False),
-    "complex-without-times": (lambda w: np.exp(-1j * w) * np.where(w % 2.0 < 0.3, 0.0, w), False),
+    "real": lambda w: np.sin(3.0 * w) / (1.0 + w),
+    "complex-without-times": lambda w: np.exp(-1j * w) * np.where(w % 2.0 < 0.3, 0.0, w),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(_KERNEL_INTEGRANDS))
 @pytest.mark.parametrize("n_panels", [1, 2, 15, 700, 4500])
 def test_panel_kernel_matches_the_panel_major_einsum_bitwise(kind, n_panels):
-    func, with_times = _KERNEL_INTEGRANDS[kind]
+    func = _KERNEL_INTEGRANDS[kind]
     rng = np.random.default_rng(n_panels)
     for _ in range(3):
         lefts, rights = _seeded_panels(rng, n_panels)
-        freqs = None
-        if with_times:
-            freqs = rng.choice([0.0, 0.37, 5.0, 41.5, 200.0], n_panels)
-        got = quadrature._eval_panels(func, lefts, rights, freqs)
-        want = _reference_panels(func, lefts, rights, freqs)
+        got = quadrature._eval_panels(func, lefts, rights)
+        want = _reference_panels(func, lefts, rights)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
