@@ -32,7 +32,8 @@ from . import oracle as _oracle
 from . import spectrum as _spectrum
 from .errors import DressedBathError, InputError
 from .model import (
-    LIGHT_SPEED_SI, OhmicSystemSpec, _spec_text, classify_regime, derive_parameters,
+    LIGHT_SPEED_SI, OhmicSystemSpec, _require_positive, _spec_text, classify_regime,
+    derive_parameters,
 )
 
 # every config key, in the order the flags are listed: a number, an
@@ -114,10 +115,14 @@ def build_spec(cfg: dict) -> OhmicSystemSpec:
     has_length, has_delta = "cavity_L" in cfg, "delta" in cfg
     if has_length == has_delta:
         raise InputError("exactly one of {cavity_L, delta} is required")
+    # each given key is refused by its own name before g or cavity_L derives from it
+    for key in ("bar_omega", "g" if has_g else "beta", "cavity_L" if has_length else "delta"):
+        _require_positive(key, cfg[key])
     light_speed = cfg.get("light_speed", LIGHT_SPEED_SI)
     g = cfg["g"] if has_g else cfg["beta"] * bar_omega
-    if g <= 0.0:
-        raise InputError("g (or beta * bar_omega) must be positive")
+    if g == 0.0:
+        raise InputError(f"g = beta * bar_omega underflows to 0 (beta = {cfg['beta']!r}, "
+                         f"bar_omega = {bar_omega!r})")
     cavity_L = cfg["cavity_L"] if has_length else 2.0 * light_speed * cfg["delta"] / g
     return OhmicSystemSpec(
         bar_omega=bar_omega,

@@ -350,19 +350,19 @@ def cross_validate(spec: OhmicSystemSpec) -> ValidationReport:
     _guarded(checks, notes, "worst-case cavity survival bound at delta=0.005",
              0.9742, 1e-4, check_bound)
 
-    try:
-        exact = cavity("rederived")
-        with warnings.catch_warnings():
-            # the note itself reports how far the first-order form drifts
-            warnings.simplefilter("ignore")
-            approx = _spectrum.approx_small_L_spectrum(spec, k_max=50)
-        notes.append(
-            "lowest cavity mode: exact cotangent (rederived) gives "
-            f"Omega0/bar_omega = {exact.frequencies[0] / spec.bar_omega:.6f}, "
-            f"first-order small-cavity form gives {approx.frequencies[0] / spec.bar_omega:.6f}"
-        )
-    except DressedBathError:
-        pass
+    def lowest_mode(label, route):
+        try:
+            with warnings.catch_warnings():
+                # the note itself reports how far the first-order form drifts
+                warnings.simplefilter("ignore")
+                return f"gives {label}{route().frequencies[0] / spec.bar_omega:.6f}"
+        except DressedBathError as exc:
+            return f"refused ({type(exc).__name__}: {exc})"
+
+    exact = lowest_mode("Omega0/bar_omega = ", lambda: cavity("rederived"))
+    approx = lowest_mode("", lambda: _spectrum.approx_small_L_spectrum(spec, k_max=50))
+    notes.append(f"lowest cavity mode: exact cotangent (rederived) {exact}, "
+                 f"first-order small-cavity form {approx}")
 
     delta_max = _amp.solve_delta_max("strong")
     ceiling = 2.0 * LIGHT_SPEED_SI * delta_max / (10.0 * 4e14)

@@ -4,7 +4,8 @@
 7-point Gauss rule (dqk15) by bisection on explicit panel arrays, so
 structural breakpoints land on panel edges and the integrand may be
 complex.  Its error per panel, |K15 - G7|, estimates the Gauss error and is
-deliberately conservative.  Panels are held node-major, 15 rows of P.
+deliberately conservative.  Both rules are einsum sums over each panel's
+row of 15 integrand values, real or complex alike.
 
 The decay amplitude's Fourier integrals use Filon's method instead (Filon
 1928; Iserles and Norsett 2005, Proc. R. Soc. A 461): ``_legendre_panels``
@@ -63,42 +64,17 @@ def _distinct(values):
     return distinct, np.searchsorted(distinct, values)
 
 
-def _rule_sums(rows, size):
-    # sum_j w_j rows[j] for the Kronrod and the Gauss weights, each added
-    # in node order onto zeros: how einsum("ij,j->i") sums a complex
-    # (P, 15) array, bit for bit
-    kron = np.zeros(size, dtype=complex)
-    gauss = np.zeros(size, dtype=complex)
-    term = np.empty(size, dtype=complex)
-    for j, row in enumerate(rows):
-        np.multiply(row, _WGK[j], out=term)
-        kron += term
-        if j % 2:
-            np.multiply(row, _WG[j // 2], out=term)
-            gauss += term
-    return kron, gauss
-
-
 def _eval_panels(func, lefts, rights):
-    # K15 values and |K15 - G7| errors of the panels [lefts, rights], with
-    # the nodes and integrand values held node-major, (15, P)
+    # K15 values and |K15 - G7| errors of the panels [lefts, rights], each
+    # panel's 15 nodes a row.  einsum, not a BLAS matrix-vector product:
+    # BLAS rounds a lone row differently from the same row among others,
+    # and a panel's value must not depend on which panels share the batch.
     centers = 0.5 * (lefts + rights)
     halves = 0.5 * (rights - lefts)
-    nodes = np.multiply(_NODES[:, None], halves)
-    nodes += centers
+    nodes = centers[:, None] + halves[:, None] * _NODES
     fvals = np.asarray(func(nodes.ravel())).reshape(nodes.shape)
-    if np.iscomplexobj(fvals):
-        kron, gauss = _rule_sums(fvals, centers.size)
-    else:
-        # einsum, not a BLAS matrix-vector product: BLAS rounds a lone row
-        # differently from the same row among others, and a panel's value
-        # must not depend on which panels share the batch.  The real einsum
-        # sums a contiguous row in its own order, so it gets (P, 15) rows.
-        rows = np.ascontiguousarray(fvals.T)
-        kron = np.einsum("ij,j->i", rows, _WGK)
-        gauss = np.einsum("ij,j->i", rows[:, _GAUSS_IDX], _WG)
-    kron = halves * kron
-    gauss = halves * gauss
+    kron = halves * np.einsum("ij,j->i", fvals, _WGK)
+    gauss = halves * np.einsum("ij,j->i", fvals[:, _GAUSS_IDX], _WG)
     return kron, np.abs(kron - gauss)
 
 
@@ -120,12 +96,13 @@ def adaptive_gk(func, edges, tol_abs):
     """Integrate func over [edges[0], edges[-1]] with adaptive bisection.
 
     func must accept a 1d array and return values elementwise (real or
-    complex).  edges fixes the initial panel boundaries; panels whose error
-    exceeds its fair share of tol_abs are split in half until the summed
-    estimate drops below tol_abs or the budget runs out (200000 panels,
-    40 rounds).  Returns (value, error_estimate); the caller decides
-    whether a missed tolerance is fatal.  Raises NumericalFailure on
-    non-finite integrand values.
+    complex); each round calls it once, on the 15 nodes of every new
+    panel, panel after panel.  edges fixes the initial panel boundaries;
+    panels whose error exceeds its fair share of tol_abs are split in half
+    until the summed estimate drops below tol_abs or the budget runs out
+    (200000 panels, 40 rounds).  Returns (value, error_estimate); the
+    caller decides whether a missed tolerance is fatal.  Raises
+    NumericalFailure on non-finite integrand values.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(edges[1:] <= edges[:-1]):

@@ -495,7 +495,9 @@ def cavity_smallness_factor(spec: OhmicSystemSpec) -> SmallnessFactors:
     one sits a factor approaching 2 below the exact root.
     """
     beta = derive_parameters(spec).beta
-    full = 0.5 * math.pi * beta**2 * (1.0 + math.sqrt(1.0 + 4.0 / (math.pi**2 * beta**2)))
+    # the root in a form that never divides by beta**2, which underflows
+    # below beta ~ 1e-154
+    full = 0.5 * beta * (math.pi * beta + math.sqrt((math.pi * beta) ** 2 + 4.0))
     return SmallnessFactors(
         full=full,
         weak_limit=beta,

@@ -161,6 +161,30 @@ def test_config_parse_errors(tmp_path, capsys):
     assert rc == 1 and "cannot read config" in err
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--bar-omega", "-1", "--beta", "0.3", "--delta", "0.05"),
+     "bar_omega must be positive and finite, got -1.0"),
+    (("--beta", "0.3", "--delta", "-0.05"), "delta must be positive and finite, got -0.05"),
+    (("--beta", "0.3", "--cavity-L", "0"), "cavity_L must be positive and finite, got 0.0"),
+    (("--beta", "-0.3", "--delta", "0.05"), "beta must be positive and finite, got -0.3"),
+    (("--g", "0", "--delta", "0.05"), "g must be positive and finite, got 0.0"),
+], ids=["bar_omega", "delta", "cavity_L", "beta", "g"])
+def test_build_spec_names_the_key_at_fault(capsys, args, message):
+    # the key given is refused, not the g or cavity_L derived from it
+    if "--bar-omega" not in args:
+        args = ("--bar-omega", "1", *args)
+    rc, out, err = run_cli(capsys, "decay", *args, "--light-speed", "1")
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_build_spec_refuses_an_underflowing_coupling(capsys):
+    rc, out, err = run_cli(capsys, "decay", "--bar-omega", "1e-200", "--beta", "1e-200",
+                           "--delta", "0.05")
+    assert (rc, out) == (1, "")
+    assert err == ("error: g = beta * bar_omega underflows to 0 "
+                   "(beta = 1e-200, bar_omega = 1e-200)\n")
+
+
 @pytest.mark.parametrize("where", ["missing/x.csv", "."], ids=["missing-dir", "a-dir"])
 def test_unwritable_out_is_an_input_error(tmp_path, capsys, where):
     target = tmp_path / where
@@ -283,8 +307,11 @@ def test_validate_command(tmp_path, capsys):
 def test_validate_notes_the_small_cavity_form_only_below_pi_delta_one(capsys):
     rc, out, _ = run_cli(capsys, "validate", "--beta", "0.3", "--delta", "0.3")
     assert rc == 0 and "first-order small-cavity form gives" in out
+    # past it the note names the form's refusal, once dropped without a word
     rc, out, _ = run_cli(capsys, "validate", "--beta", "0.3", "--delta", "0.5")
-    assert rc == 0 and "first-order small-cavity form" not in out
+    assert rc == 0 and "first-order small-cavity form gives" not in out
+    assert ("first-order small-cavity form refused (InputError: first-order cavity "
+            "weights need pi*delta < 1 (got pi*delta = 1.5708))\n") in out
 
 
 @pytest.mark.parametrize("args", [

@@ -304,3 +304,16 @@ def test_cavity_adjudication_gates_on_the_rederived_gap_alone():
     assert note.endswith("published variant refused (InputError: weights must sum to at most 1)")
     assert f"rederived variant max relative gap {check.computed:.3e}" in note
     assert not any("raised" in n for n in report.notes)
+
+
+def test_lowest_cavity_mode_note_names_a_refused_small_cavity_form():
+    # at beta 1e-3, delta 0.05 the mode spacing 2*pi*c/L is below bar_omega,
+    # so the first-order small-cavity ladder refuses; the note once vanished
+    spec = OhmicSystemSpec.from_dimensionless(beta=1e-3, delta=0.05, n_modes=20)
+    note = next(n for n in cross_validate(spec).notes if n.startswith("lowest cavity mode"))
+    exact = spectrum.solve_cavity_spectrum(spec, k_max=50, variant="rederived")
+    assert note == (
+        "lowest cavity mode: exact cotangent (rederived) gives "
+        f"Omega0/bar_omega = {exact.frequencies[0] / spec.bar_omega:.6f}, "
+        "first-order small-cavity form refused (InputError: small-cavity ladder needs "
+        "the mode spacing 2*pi*c/L to exceed bar_omega (got ratio 15.9155 >= 1))")

@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from dressedbath import quadrature
+from dressedbath import OhmicSystemSpec, amplitudes, quadrature
 from dressedbath.errors import NumericalFailure
 from dressedbath.quadrature import adaptive_gk
 
@@ -170,8 +171,8 @@ def test_spherical_bessel_keeps_its_shape_and_order():
 
 
 def _reference_panels(func, lefts, rights):
-    # the panel-major (P, 15) einsum formulation that the node-major kernel
-    # must reproduce bit for bit
+    # the panel-major (P, 15) einsum formulation, written out here so that
+    # the kernel must reproduce it bit for bit
     q = quadrature
     centers = 0.5 * (lefts + rights)
     halves = 0.5 * (rights - lefts)
@@ -196,7 +197,7 @@ def _seeded_panels(rng, n_panels):
 
 _KERNEL_INTEGRANDS = {
     "real": lambda w: np.sin(3.0 * w) / (1.0 + w),
-    "complex-without-times": lambda w: np.exp(-1j * w) * np.where(w % 2.0 < 0.3, 0.0, w),
+    "complex": lambda w: np.exp(-1j * w) * np.where(w % 2.0 < 0.3, 0.0, w),
 }
 
 
@@ -211,6 +212,37 @@ def test_panel_kernel_matches_the_panel_major_einsum_bitwise(kind, n_panels):
         want = _reference_panels(func, lefts, rights)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+# SHA-256 of the bytes of adaptive_gk's (value, error) on the kernel
+# integrands, and of f00(0) with its error estimate, taken while the kernel
+# still summed its complex values node by node
+_GK_DIGESTS = {
+    "real": "5317c68081270cca028f1fd52f6cb4748c6e044f0260006936c64caf2a895e9a",
+    "complex": "3c6b645b19e80d387e0b680d3714c12ef299f2473537b30d1d2ac3a1c0b10453",
+}
+_F00_AT_ZERO_DIGESTS = {
+    0.01: "c6b4108d6367f967ba53c25c49e5a00c40e1fda890d15236dc8f33508d68a716",
+    2.0 / math.pi: "a6fb0b122ac3e816988d5397d486bdbd4ea2c46927b02e47a1c8d1b2aa8c7bed",
+    3.0: "f52f840f4b8de60f55e236fbe581029edd476be5d478e5a9d329003937577044",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GK_DIGESTS))
+def test_adaptive_gk_is_bit_identical(kind):
+    val, err = adaptive_gk(_KERNEL_INTEGRANDS[kind], np.linspace(0.0, 20.0, 7), 1e-10)
+    assert hashlib.sha256(np.array([val, err]).tobytes()).hexdigest() == _GK_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("beta", sorted(_F00_AT_ZERO_DIGESTS))
+def test_f00_at_zero_is_bit_identical(beta):
+    # f00(0) is 1 to the last bit at these betas, so the estimate of the
+    # adaptive tail is hashed with it
+    value = amplitudes.f00_quadrature(OhmicSystemSpec.from_dimensionless(beta, 0.05),
+                                      [0.0]).values
+    _, err = amplitudes._f00_at_zero(beta, amplitudes._panel_set(beta))
+    digest = hashlib.sha256(value.tobytes() + np.float64(err).tobytes()).hexdigest()
+    assert digest == _F00_AT_ZERO_DIGESTS[beta]
 
 
 def test_distinct_matches_numpy_unique():

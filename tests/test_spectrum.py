@@ -572,3 +572,11 @@ def test_mode_set_validation():
         NormalModeSet(frequencies=np.array([1.0, 2.0]),
                       weights=np.array([0.5, -0.1]),
                       source=ModeSource.FINITE_N, spec_snapshot=spec)
+
+
+@pytest.mark.parametrize("beta", [1e-300, 1e-200, 1e-160])
+def test_smallness_factor_survives_an_underflowing_beta_squared(beta):
+    # beta**2 underflows here, and the factor once divided by it
+    f = cavity_smallness_factor(OhmicSystemSpec(bar_omega=1.0, g=beta, cavity_L=1.0))
+    assert f.full == pytest.approx(beta, rel=1e-15, abs=0.0)
+    assert f.weak_limit == beta
