@@ -98,8 +98,8 @@ class AmplitudeSeries:
 class CavitySurvivalBound:
     """Worst-case survival probability over all times, to first order in delta.
 
-    ``min_probability`` keeps the raw polynomial value even when it is
-    negative; ``unphysical`` flags that case (the bound has left its
+    ``min_probability`` keeps the raw polynomial value even when it lies
+    outside [0, 1]; ``unphysical`` flags that case (the bound has left its
     domain of validity, not the probability).
     """
 
@@ -568,8 +568,10 @@ def cavity_min_bound(delta: float, regime: str) -> CavitySurvivalBound:
                    w0 = 2/(2 + pi*delta)
 
     Both come from anti-aligning every ladder phase against the lowest
-    mode.  A negative value means the expansion has left its validity
-    window; it is reported raw and flagged.
+    mode.  A value outside [0, 1] means the expansion has left its validity
+    window (the strong form turns negative past ``solve_delta_max``, the
+    weak form exceeds 1 past delta = 15/(14*pi)); it is reported raw and
+    flagged.
     """
     if regime not in ("weak", "strong"):
         raise InputError(f"regime must be 'weak' or 'strong', got {regime!r}")
@@ -586,7 +588,7 @@ def cavity_min_bound(delta: float, regime: str) -> CavitySurvivalBound:
         delta=delta,
         regime=regime,
         min_probability=value,
-        unphysical=value < 0.0,
+        unphysical=not 0.0 <= value <= 1.0,
     )
 
 

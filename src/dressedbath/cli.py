@@ -271,6 +271,8 @@ def cmd_cavity(cfg: dict) -> tuple[str, int]:
         ]
         if d.delta > delta_max:
             extras.append(("summary", "unphysical: exceeds delta_max"))
+    elif bound.unphysical:
+        extras.append(("summary", "unphysical: analytic_min_bound outside [0, 1]"))
     return _csv("cavity", spec, extras, {"t": times, "prob": curve}), 0
 
 

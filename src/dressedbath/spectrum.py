@@ -71,10 +71,11 @@ __all__ = [
 
 _WEIGHT_SUM_TOL = 1e-8
 # solve_finite_spectrum is O(N) in time and memory: N = 10**6 takes
-# about 1 s and a 0.25 GB tracemalloc peak on a 2-core VM.
+# about 0.5 s and a 0.11 GB tracemalloc peak on one CPU of a 2-core Xeon
+# VM, 96 MB of it the direct sums of the two edge gaps.
 _MAX_FINITE_MODES = 1_000_000
-# the cavity ladder is O(k_max) too: k_max = 10**6 takes about 0.36 s and a
-# 0.14 GB tracemalloc peak on a 2-core VM (the small-cavity forms 0.05 GB)
+# the cavity ladder is O(k_max) too: k_max = 10**6 takes about 0.07 s and a
+# 17 MB tracemalloc peak there (the small-cavity forms 0.06 GB)
 _MAX_K = 1_000_000
 # series_identity_residual sums 10**7 terms in about 0.13 s
 _MAX_SERIES_TERMS = 10**8
@@ -100,7 +101,7 @@ def _checked_modes(frequencies, weights):
         raise InputError(f"need one weight per frequency, got {wts.shape} vs {freq.shape}")
     if freq.size == 0:
         raise InputError("a mode set needs at least one mode")
-    if not (np.all(np.isfinite(freq)) and freq[0] > 0.0 and np.all(np.diff(freq) > 0.0)):
+    if not (np.all(np.isfinite(freq)) and freq[0] > 0.0 and np.all(freq[1:] > freq[:-1])):
         raise InputError("frequencies must be finite, positive and strictly increasing")
     if not np.all(wts > 0.0):
         raise InputError("weights must be positive")
@@ -118,9 +119,12 @@ def _past_double(source, d) -> InputError:
 
 def _route_modes(source, spec, d, frequencies, weights) -> NormalModeSet:
     # a route's mode set, unless a weight underflowed to 0 or read NaN or a
-    # frequency overflowed on the way
+    # frequency overflowed on the way.  The route's own arrays are frozen
+    # in place, so the record keeps them without a copy
     if not (np.all(weights > 0.0) and np.all(np.isfinite(frequencies))):
         raise _past_double(source, d)
+    frequencies.setflags(write=False)
+    weights.setflags(write=False)
     return NormalModeSet(frequencies, weights, source, spec)
 
 
@@ -192,28 +196,32 @@ def _bracketed_roots(f, x, lo, hi):
     one whose step is over half the lane's step before (the first may take
     half the bracket), which breaks the slower cycles of Newton across an
     inflection, as in ``rtsafe`` (Press et al., Numerical Recipes).  A lane
-    stops once its step or its bracket width is at most 1e-13 relative, and
-    only running lanes are evaluated.  Lanes still running after 100 steps
-    raise NumericalFailure.
+    stops once its step or its bracket width is at most 1e-13 relative.
+    The running lanes travel as compacted arrays, so only they are
+    evaluated, and a step writes back only the roots of lanes that stop.
+    Lanes still running after 100 steps raise NumericalFailure.
     """
-    root = np.array(x, dtype=float)
+    x = np.array(x, dtype=float)
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
+    root = np.empty_like(x)
     step = hi - lo
-    lanes = np.arange(root.size)
+    lanes = np.arange(x.size)
     for _ in range(_MAX_STEPS):
-        x = root[lanes]
         fx, dfx = f(x, lanes)
-        a = np.where(fx > 0.0, x, lo[lanes])
-        b = np.where(fx < 0.0, x, hi[lanes])
+        a = np.where(fx > 0.0, x, lo)
+        b = np.where(fx < 0.0, x, hi)
         nxt = x - fx / dfx
         moved = nxt != x
-        newton = (nxt > a) & (nxt < b) & (np.abs(nxt - x) <= 0.5 * step[lanes])
+        newton = (nxt > a) & (nxt < b) & (np.abs(nxt - x) <= 0.5 * step)
         nxt = np.where(moved & ~newton, 0.5 * (a + b), nxt)
-        root[lanes], lo[lanes], hi[lanes] = nxt, a, b
-        step[lanes] = np.abs(nxt - x)
+        step = np.abs(nxt - x)
         tol = _DONE_REL * np.abs(nxt)
-        lanes = lanes[moved & (np.abs(nxt - x) > tol) & (b - a > tol)]
+        running = moved & (step > tol) & (b - a > tol)
+        done = ~running
+        root[lanes[done]] = nxt[done]
+        x, lo, hi = nxt[running], a[running], b[running]
+        step, lanes = step[running], lanes[running]
         if lanes.size == 0:
             return root
     raise NumericalFailure(f"{lanes.size} bracketed roots did not converge")
@@ -234,6 +242,27 @@ def _arccot_roots(collapse, start, scale, width):
 
     n = np.size(start)
     return _bracketed_roots(f, start, np.zeros(n), np.full(n, width))
+
+
+# Both routes solve their lanes in contiguous blocks of at most _BLOCK:
+# 64 KB per float64 array, the largest power of two below glibc's 128 KB
+# mmap threshold, so a block's temporaries reuse heap pages where
+# full-length ones are mapped, and faulted in, afresh on every numpy pass.
+# A cavity solve at k_max = 1e5 (one CPU of a 2-core Xeon VM, best of 9
+# in each of four sittings) took 11.1-12.8 ms in blocks of 2048 lanes,
+# 9.4-10.1 ms in 4096, 8.7-9.5 ms in 8192 (852 page faults a solve),
+# 11.5-13.5 ms in 16384 (3,172 faults) and 17.8-22.6 ms unblocked (6,481).
+_BLOCK = 8192
+
+
+def _in_blocks(outputs, start, stop, solve):
+    # lanes start..stop-1 of the arrays ``outputs``, block by block:
+    # solve(lo, hi) returns one array per output for lanes lo..hi-1.  No
+    # lane's arithmetic reads another lane, so the blocks change no byte
+    for lo in range(start, stop, _BLOCK):
+        hi = min(lo + _BLOCK, stop)
+        for out, part in zip(outputs, solve(lo, hi)):
+            out[lo:hi] = part
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +288,9 @@ def solve_finite_spectrum(spec: OhmicSystemSpec) -> NormalModeSet:
     ladder, where psi(N+1-u) has poles, keeps the direct O(N) sum, and so
     does the gap below it: there A has a 1/u pole that is no ladder pole,
     so a root near 0 cancels two 1/u terms and its weight two 1/u**2 ones.
-    The whole solve is O(N) in time and memory, and n_modes above 10**6
-    raises InputError before any work starts.
+    Gaps 1..N-1 run in blocks of at most 8192, which change no byte.  The
+    whole solve is O(N) in time and memory, and n_modes above 10**6 raises
+    InputError before any work starts.
     """
     n = spec.n_modes
     if n > _MAX_FINITE_MODES:
@@ -277,17 +307,17 @@ def solve_finite_spectrum(spec: OhmicSystemSpec) -> NormalModeSet:
     u = np.empty(n + 1)
     weights = np.empty(n + 1)
     u[[0, n]], weights[[0, n]] = _finite_edge_roots(n, b, e_sq)
-    if n > 1:
-        u[1:n], weights[1:n] = _finite_bulk_roots(n, b, e_sq)
-    return _route_modes(ModeSource.FINITE_N, spec, d, d.delta_omega * u, weights)
+    _in_blocks((u, weights), 1, n,
+               lambda lo, hi: _finite_bulk_roots(np.arange(lo, hi, dtype=float), n, b, e_sq))
+    u *= d.delta_omega
+    return _route_modes(ModeSource.FINITE_N, spec, d, u, weights)
 
 
-def _finite_bulk_roots(n, b, e_sq):
-    # gaps j = 1..n-1 in eps = u - j; n+1-u stays above 1 (in (1, 2] at
-    # j = n-1), so the digamma tail has no pole.  Every difference is
-    # formed from j and eps apart, so a root hugging a pole keeps its
-    # distance to it.
-    j = np.arange(1.0, n)
+def _finite_bulk_roots(j, n, b, e_sq):
+    # the gaps j (of 1..n-1) in eps = u - j; n+1-u stays above 1 (in
+    # (1, 2] at j = n-1), so the digamma tail has no pole.  Every
+    # difference is formed from j and eps apart, so a root hugging a pole
+    # keeps its distance to it.
     lin = 2.0 / (math.pi * e_sq)
     inv = 2.0 * b * b / (math.pi * e_sq) - 1.0 / math.pi
 
@@ -431,9 +461,11 @@ def solve_cavity_spectrum(
     Branches k >= 1 solve s = arccot(x/(pi*delta) + C/(2x)) from the start
     arccot(A(k*pi)).  Branch 0 solves the secular function itself, written
     as (cot(s) - 1/s) + (1 - C/2)/s - s/(pi*delta) with 1 - C/2 formed from
-    its exact parts, so the two 1/s terms never cancel in rounding.  The
-    solve is O(k_max) in time and memory, and k_max above 10**6 (about
-    0.4 s and 0.14 GB) raises InputError before any work starts.
+    its exact parts, so the two 1/s terms never cancel in rounding.
+    Branches k >= 1 run in blocks of at most 8192, which change no byte.
+    The solve is O(k_max) in time and memory, and k_max above 10**6 (about
+    0.07 s and a 17 MB tracemalloc peak) raises InputError before any work
+    starts.
     """
     if variant not in _VARIANT_CONSTANTS:
         raise InputError(f"variant must be 'paper' or 'rederived', got {variant!r}")
@@ -460,25 +492,36 @@ def solve_cavity_spectrum(
     # quadratic in s**2 whose smaller root lies in (0, pi**2)
     mid = math.pi**2 / 3.0 + c_zero + math.pi / delta
     x0 = 2.0 * c_zero * math.pi**2 / (mid + math.sqrt(mid * mid - 4.0 * c_zero * math.pi / delta))
-    s = np.empty(k_max + 1)
-    s[:1] = _bracketed_roots(branch_zero, [math.sqrt(x0)], [0.0], [math.pi])
-    if k_max:
-        k_pi = math.pi * np.arange(1, k_max + 1, dtype=float)
+    scale = 2.0 * spec.light_speed / spec.cavity_L / spec.bar_omega
+    eta_sq = (d.eta / spec.bar_omega) ** 2
+
+    def modes(k_pi, s):
+        # frequencies and particle weights of branches k at shifts s: the
+        # discrete (t_0^r)**2 evaluated with the cotangent-collapsed level
+        # sums, in units of bar_omega
+        w = scale * (k_pi + s)
+        om_sq = w**2
+        weights = eta_sq * om_sq / (
+            (om_sq - 1.0) ** 2 + 0.5 * eta_sq * (3.0 * om_sq - 1.0)
+            + (math.pi * d.beta) ** 2 * om_sq)
+        return spec.bar_omega * w, weights
+
+    def branches(lo, hi):
+        k_pi = math.pi * np.arange(lo, hi, dtype=float)
 
         def collapse(t, lanes=slice(None)):
             x = k_pi[lanes] + t
             return slope * x + c_const / (2.0 * x), slope - c_const / (2.0 * x * x)
 
-        s[1:] = _arccot_roots(collapse, np.arctan2(1.0, collapse(0.0)[0]), 1.0, math.pi)
-    x = math.pi * np.arange(k_max + 1, dtype=float) + s
-    # each mode's particle weight: the discrete (t_0^r)**2 evaluated with
-    # the cotangent-collapsed level sums, in units of bar_omega
-    w = (2.0 * spec.light_speed / spec.cavity_L / spec.bar_omega) * x
-    om_sq, eta_sq = w**2, (d.eta / spec.bar_omega) ** 2
-    weights = eta_sq * om_sq / (
-        (om_sq - 1.0) ** 2 + 0.5 * eta_sq * (3.0 * om_sq - 1.0)
-        + (math.pi * d.beta) ** 2 * om_sq)
-    return _route_modes(ModeSource.CAVITY_CLOSED_FORM, spec, d, spec.bar_omega * w, weights)
+        return modes(k_pi, _arccot_roots(collapse, np.arctan2(1.0, collapse(0.0)[0]),
+                                         1.0, math.pi))
+
+    frequencies = np.empty(k_max + 1)
+    weights = np.empty(k_max + 1)
+    s = _bracketed_roots(branch_zero, [math.sqrt(x0)], [0.0], [math.pi])
+    frequencies[:1], weights[:1] = modes(0.0, s)
+    _in_blocks((frequencies, weights), 1, k_max + 1, branches)
+    return _route_modes(ModeSource.CAVITY_CLOSED_FORM, spec, d, frequencies, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -776,6 +776,21 @@ def test_cavity_min_bound_frozen_values():
     assert deep.unphysical and deep.min_probability < 0.0
 
 
+@pytest.mark.parametrize("delta", [0.3, 1.0, 4.0])
+@pytest.mark.parametrize("regime", ["weak", "strong"])
+def test_cavity_min_bound_flags_values_outside_zero_to_one(regime, delta):
+    bound = cavity_min_bound(delta, regime)
+    assert bound.unphysical == (not 0.0 <= bound.min_probability <= 1.0)
+    assert bound.unphysical == (delta > 0.3)
+
+
+def test_weak_bound_leaves_one_at_15_over_14_pi():
+    # 1 - (5pi/3)delta + (14pi**2/9)delta**2 = 1 again at delta = 15/(14pi)
+    edge = 15.0 / (14.0 * math.pi)
+    assert not cavity_min_bound(edge * (1.0 - 1e-9), "weak").unphysical
+    assert cavity_min_bound(edge * (1.0 + 1e-9), "weak").unphysical
+
+
 def test_weak_bound_never_crosses_zero():
     deltas = np.linspace(0.0, 5.0, 400)
     values = [cavity_min_bound(d, "weak").min_probability for d in deltas]

@@ -293,6 +293,26 @@ def test_cavity_strong_summary(capsys):
     assert parsed["analytic_min_bound"] < 0.0
 
 
+@pytest.mark.parametrize("regime", ["weak", "strong"])
+@pytest.mark.parametrize("delta", ["0.3", "1", "4"])
+def test_cavity_flags_a_bound_outside_zero_to_one(capsys, regime, delta):
+    # the weak form exceeds 1 past delta = 15/(14*pi) = 0.341 and the strong
+    # form turns negative past delta_max = 0.372; each regime says so on an
+    # unphysical summary line, and delta 0.3 is inside both
+    rc, out, _ = run_cli(capsys, "cavity", "--regime", regime, "--bar-omega", "1",
+                         "--beta", "0.3", "--light-speed", "1", "--delta", delta)
+    assert rc == 0
+    entries, parsed = summaries(out)
+    flags = [entry for entry in entries if entry.startswith("unphysical")]
+    bound = parsed["analytic_min_bound"]
+    if delta == "0.3":
+        assert flags == [] and 0.0 <= bound <= 1.0
+    elif regime == "weak":
+        assert flags == ["unphysical: analytic_min_bound outside [0, 1]"] and bound > 1.0
+    else:
+        assert flags == ["unphysical: exceeds delta_max"] and bound < 0.0
+
+
 def test_validate_command(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, "validate")
     assert rc == 0

@@ -1,5 +1,6 @@
 """Spectrum solvers against closed forms and high-precision root finding."""
 
+import hashlib
 import math
 import time
 import tracemalloc
@@ -268,7 +269,7 @@ def test_strong_coupling_spectrum_stays_stable():
 
 
 def test_finite_spectrum_refuses_large_baths_at_once():
-    # the secular solve is O(N) in time and memory, about 1 s at N = 10**6,
+    # the secular solve is O(N) in time and memory, about 0.5 s at N = 10**6,
     # so N = 10**6 + 1 must fail before any work starts
     spec = OhmicSystemSpec.from_dimensionless(beta=0.3, delta=0.7, n_modes=1_000_001)
     start = time.perf_counter()
@@ -283,13 +284,103 @@ def test_finite_spectrum_refuses_large_baths_at_once():
 
 @pytest.mark.parametrize("route", [solve_cavity_spectrum, approx_small_L_spectrum])
 def test_ladder_routes_refuse_large_k_max_at_once(route):
-    # both ladders are O(k_max): the cavity solve at 10**6 takes about 0.4 s
-    # and 0.14 GB, so 10**6 + 1 must fail before any array is built
+    # both ladders are O(k_max): the cavity solve at 10**6 takes about 0.07 s
+    # and 17 MB, so 10**6 + 1 must fail before any array is built
     spec = OhmicSystemSpec.from_dimensionless(beta=0.3, delta=0.005)
     start = time.perf_counter()
     with pytest.raises(InputError, match="k_max is capped at 1000000"):
         route(spec, k_max=1_000_001)
     assert time.perf_counter() - start < 0.5
+
+
+# SHA-256 of a mode set's frequencies and weights, taken while both routes
+# still solved all their lanes at once: k_max and N straddle the edges of
+# the routes' 8192-lane blocks.  The weak spec sits at delta 0.1, where the
+# paper variant's weights still sum below 1 (at delta 0.3 it is refused)
+_CAVITY_DIGESTS = {
+    (0.3, 0.05, "rederived"): {
+        8191: "9e95a32b367973de04b21e74746de23dc7e3f83b4dc6721b8cb6ef46b901cef5",
+        8192: "5bb3e0c1606e1dd89b9fc1237d9dc4489f73dcddcb18fa4d1758e0010e5ceb24",
+        8193: "77ba84aef992137c4cc6686e84564af0f2c99c3769e1721a176715e75b9d1b75",
+        16385: "ec78236c426d22a7278bb8ecb5be4585a11c94fef3915eef8d3e5eb5b8b92f57",
+        100000: "415e20523482c556e862be1c47dfe0a66729fa61e215a258a73c9391df40fac3",
+    },
+    (0.3, 0.05, "paper"): {
+        8191: "25c72d883bdf98ee11279731754db09d1794e024bc4397d7e520b25b84df3c92",
+        8192: "f2a60a0b4e09f8eee23b0babfeba89c30ac97dc0346a210e85706b646292bdce",
+        8193: "599243627b0025f72081d99e20ae0b02000adeb9d8c62f484e06c19508df6fa8",
+        16385: "d92565a6d09591c0c95595b3ee717126a535bd1d7e13066a35241cda67fc81b6",
+        100000: "9f7d0d14d792270b567ee9e42bffe2ae3340b9f06590829701605111a7071081",
+    },
+    (0.01, 0.1, "rederived"): {
+        8191: "ebb2ba1d2b2637ec4d64775d2f4f8ad56d2a2d2bd4d02d19c4ffe5d22ecc82f4",
+        8192: "e388f86df9f6469a228a9d8a99b6428cfd5b028a7d99eb0b8ca77f83d8df2af7",
+        8193: "938fed774a254999a1a63c4a96323804cd45f244d81d334614c7abeda6f06399",
+        16385: "a353766eee800a09340bfadf3b590dbd15ae092a917f7fcc27644e83a4cd44bb",
+        100000: "7741962e209b8f5076eedf78c47f58d8486bcd2a4ad977fe72a921da681362b8",
+    },
+    (0.01, 0.1, "paper"): {
+        8191: "087f07247f97e4262b123ed14ac246b06656a47fd090bce08d8806efe4f8dd10",
+        8192: "930f37e308758bc4bdb4cbc4ffc18e9bd1d09c8db9ce98787d608e0ce5566b23",
+        8193: "7b2bf517280c2ed3a2f755c089c74840d269aa26d10c22a1eca60805502b450f",
+        16385: "5b2ca976bfa021d269204db2f07c69a4ec64e4a1e7eba730a937d4402c6977ce",
+        100000: "0913fb7e65cb1b53abea143884f6d3b7a5f0d437c31eb2c3f6d504cd04dec3f4",
+    },
+}
+_FINITE_DIGESTS = {
+    8192: "7aec03be9ea9d705b567d516247316c96810a984007a29fc1a6513ae72addec4",
+    8193: "2aebb295ae99bf00f9c5136c002f336ad5f265da68a36e1d368e1fb89399b650",
+    20000: "fc5c999c80baaf4dda7336f721c0d0dd3832eb0a6ffaa29df6a6d9c7b10cb62b",
+}
+
+
+def _mode_digest(modes):
+    return hashlib.sha256(modes.frequencies.tobytes() + modes.weights.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("beta,delta,variant", sorted(_CAVITY_DIGESTS))
+def test_cavity_ladder_is_bit_identical(beta, delta, variant):
+    spec = OhmicSystemSpec.from_dimensionless(beta=beta, delta=delta)
+    for k_max, digest in _CAVITY_DIGESTS[beta, delta, variant].items():
+        assert _mode_digest(solve_cavity_spectrum(spec, k_max=k_max, variant=variant)) == digest
+
+
+@pytest.mark.parametrize("n_modes", sorted(_FINITE_DIGESTS))
+def test_finite_spectrum_is_bit_identical(n_modes):
+    spec = OhmicSystemSpec.from_dimensionless(beta=0.3, delta=0.05, n_modes=n_modes)
+    assert _mode_digest(solve_finite_spectrum(spec)) == _FINITE_DIGESTS[n_modes]
+
+
+def test_cavity_ladder_prefixes_are_bit_identical():
+    # branch k does not depend on k_max, so every shorter ladder is a
+    # prefix of the longest, bit for bit, wherever its blocks end
+    spec = OhmicSystemSpec.from_dimensionless(beta=0.3, delta=0.05)
+    full = solve_cavity_spectrum(spec, k_max=100000)
+    for k_max in (8191, 8192, 8193, 20000):
+        part = solve_cavity_spectrum(spec, k_max=k_max)
+        assert part.frequencies.tobytes() == full.frequencies[:k_max + 1].tobytes()
+        assert part.weights.tobytes() == full.weights[:k_max + 1].tobytes()
+
+
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(log_beta=st.floats(-3.0, 2.0), log_delta=st.floats(-2.0, math.log10(4.0)))
+def test_long_cavity_ladders_interlace_and_sum_below_one(log_beta, log_delta):
+    # at k_max 1e5 and 1e6 each root x_k stays inside its branch
+    # (k*pi, (k+1)*pi), so the frequencies strictly increase, every weight
+    # is positive, and the weight the ladder leaves out is at least 0 and
+    # shrinks as the ladder grows
+    spec = OhmicSystemSpec.from_dimensionless(10.0**log_beta, 10.0**log_delta)
+    x_scale = spec.cavity_L / (2.0 * spec.light_speed)
+    missing = []
+    for k_max in (100_000, 1_000_000):
+        modes = solve_cavity_spectrum(spec, k_max=k_max)
+        x = x_scale * modes.frequencies
+        k_pi = math.pi * np.arange(k_max + 1)
+        assert np.all(k_pi < x) and np.all(x < k_pi + math.pi)
+        assert np.all(modes.frequencies[1:] > modes.frequencies[:-1])
+        assert np.all(modes.weights > 0.0)
+        missing.append(1.0 - math.fsum(modes.weights))
+    assert 0.0 <= missing[1] <= missing[0]
 
 
 def _cavity_root_highprec(k, delta, c_const):
