@@ -310,7 +310,7 @@ def _f00_oscillating(beta: float, panels, tau):
     if counts.sum() > _MAX_PAIRS:
         raise InputError(
             f"{tau.size} time points need {counts.sum():.3g} (time, panel) pairs of "
-            "continuum quadrature, more than the 2**25 that run in about 10 s; "
+            "continuum quadrature, more than the 2**25 that take 6 to 10 s on one CPU; "
             "use fewer samples"
         )
     head = _fourier_sums(centers, halves, coefs, tau, counts)
@@ -334,8 +334,8 @@ def f00_quadrature(spec: OhmicSystemSpec, times) -> AmplitudeSeries:
     it held 3e-13 from beta = g/bar_omega = 1e-300 to 1e3, and 1e-12 in the
     critical band (against 50 digits).  InputError refuses beta below 1e-300,
     a positive t below 1e-8/(4*bar_omega + 4*pi*g), and a grid of more than
-    2**25 (time, panel) pairs, about 10 s on one CPU (20 to 2000 panels a
-    time, more at weaker coupling).  It starts no thread.
+    2**25 (time, panel) pairs, 6 to 10 s on one CPU (13 to 2000 panels a
+    time, the most at the weakest coupling).  It starts no thread.
     """
     t_arr = _validate_times(times)
     beta, tau = spec.g / spec.bar_omega, spec.bar_omega * t_arr

@@ -355,7 +355,7 @@ def cross_validate(spec: OhmicSystemSpec) -> ValidationReport:
             with warnings.catch_warnings():
                 # the note itself reports how far the first-order form drifts
                 warnings.simplefilter("ignore")
-                return f"gives {label}{route().frequencies[0] / spec.bar_omega:.6f}"
+                return f"gives {label}{route().frequencies[0] / spec.bar_omega:.6e}"
         except DressedBathError as exc:
             return f"refused ({type(exc).__name__}: {exc})"
 

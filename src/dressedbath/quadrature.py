@@ -12,7 +12,10 @@ The decay amplitude's Fourier integrals use Filon's method instead (Filon
 fits the integrand by degree-19 Legendre series on panels split on the
 integrand alone, and ``_fourier_sums`` integrates each series against
 e^{-i u t} exactly, at a cost per (time, panel) pair that does not grow
-with t.
+with t.  It lays the (time, panel) pairs of all times out as one flat array
+per block of at most 2**15 pairs, the times sorted by their panel count, so
+each numpy step runs once a block, whatever the mix of counts; only the row
+sums run once per count, each as a call of those times alone would sum them.
 """
 
 from __future__ import annotations
@@ -162,37 +165,45 @@ _MILLER_START = 40
 _PAIR_BLOCK = 2**15
 
 
-def _spherical_bessel(x):
+def _spherical_bessel(x, out=None):
     """j_0(x) .. j_19(x) for x >= 0, stacked on a new first axis.
 
     From x = 20 up, forward recurrence j_{m+1} = (2m + 1)/x j_m - j_{m-1}.
     Below, Miller's ratios r_m = j_m/j_{m-1} = x/(2m + 1 - x r_{m+1}) from
     r_41 = 0, anchored on j_0 = sin(x)/x or j_1 = (j_0 - cos x)/x, whichever
     is larger: r_1 is nearly 0/0 at a zero of j_0, and j_1 cancels near 0.
+    Both recurrences run in place, one ufunc call per operation and order;
+    out, if given, is filled and returned.
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty((_ORDERS,) + x.shape)
+    if out is None:
+        out = np.empty((_ORDERS,) + x.shape)
     far = x >= 20.0
     xf = x[far]
     j = np.empty((_ORDERS, xf.size))
-    j[0] = np.sin(xf) / xf
-    j[1] = (j[0] - np.cos(xf)) / xf
+    np.divide(np.sin(xf), xf, out=j[0])
+    np.subtract(j[0], np.cos(xf), out=j[1])
+    j[1] /= xf
     for m in range(1, _ORDERS - 1):
-        j[m + 1] = (2 * m + 1) / xf * j[m] - j[m - 1]
+        np.divide(2 * m + 1, xf, out=j[m + 1])
+        j[m + 1] *= j[m]
+        j[m + 1] -= j[m - 1]
     out[:, far] = j
+    del j  # before the near lanes' rows exist
 
     xn = x[~far]
     j = np.empty((_ORDERS, xn.size))
     r = np.zeros(xn.shape)
+    den = np.empty(xn.shape)
     for m in range(_MILLER_START, 0, -1):
-        den = (2 * m + 1) - xn * r
+        np.multiply(xn, r, out=den)
+        np.subtract(2 * m + 1, den, out=den)
         if m < _ORDERS:
             # at an exact zero of j_{m-1}, inf * 0; a tiny denominator
             # gives the limit j_m = -j_{m-2}
             den[den == 0.0] = 1e-300
-        r = xn / den
-        if m < _ORDERS:
-            j[m] = r
+            r = j[m]
+        np.divide(xn, den, out=r)
     with np.errstate(divide="ignore", invalid="ignore"):
         j0 = np.where(xn == 0.0, 1.0, np.sin(xn) / xn)
         j1 = (j0 - np.cos(xn)) / xn
@@ -249,7 +260,9 @@ def _fourier_sums(centers, halves, coefs, freqs, counts):
     """sum over the first counts[k] panels of int p(u) e^{-i u freqs[k]} du.
 
     With p a panel's Legendre series in x = (u - c)/h, each panel gives
-    h e^{-i c t} sum_m a_m 2 (-i)^m j_m(h t) exactly (DLMF 10.60.7).  A
+    h e^{-i c t} sum_m a_m 2 (-i)^m j_m(h t) exactly (DLMF 10.60.7).  The
+    times are sorted by count and cut into blocks of whole times, at most
+    _PAIR_BLOCK (time, panel) pairs each unless one time holds more.  A
     time's value is a row sum of its own length, whatever the other times.
     """
     # 2 a_m (-i)^m split into the real parts (even m) and imaginary (odd m)
@@ -257,21 +270,52 @@ def _fourier_sums(centers, halves, coefs, freqs, counts):
     scaled = 2.0 * sign[:, None] * coefs.T
     out = np.empty(freqs.shape, dtype=complex)
     order = np.argsort(counts, kind="stable")
-    for same in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
-        n = int(counts[same[0]])
-        step = max(1, _PAIR_BLOCK // n)
-        for start in range(0, same.size, step):
-            at = same[start : start + step]
-            t = freqs[at, None]
-            j = _spherical_bessel(t * halves[:n])
-            re = scaled[0, :n] * j[0]
-            im = scaled[1, :n] * j[1]
-            for m in range(2, _ORDERS, 2):
-                re += scaled[m, :n] * j[m]
-                im += scaled[m + 1, :n] * j[m + 1]
-            # times h e^{-i c t}
-            phase = t * centers[:n]
-            cos, sin = np.cos(phase), np.sin(phase)
-            out.real[at] = ((re * cos + im * sin) * halves[:n]).sum(axis=1)
-            out.imag[at] = ((im * cos - re * sin) * halves[:n]).sum(axis=1)
+    sorted_counts = counts[order]
+    ends = np.cumsum(sorted_counts)
+    # one buffer holds every block's j_m (5 MB at _PAIR_BLOCK pairs), so no
+    # block maps fresh pages for them; a block exceeds _PAIR_BLOCK pairs only
+    # as one time
+    work = np.empty(_ORDERS * min(ends[-1], max(_PAIR_BLOCK, sorted_counts[-1])))
+    start = 0
+    while start < order.size:
+        base = ends[start] - sorted_counts[start]
+        stop = max(start + 1, int(np.searchsorted(ends, base + _PAIR_BLOCK, side="right")))
+        _block_sums(centers, halves, scaled, freqs, order[start:stop],
+                    sorted_counts[start:stop], out, work)
+        start = stop
     return out
+
+
+def _block_sums(centers, halves, scaled, freqs, at, counts, out, work):
+    # out[at] for the times at, sorted by count; the head of work takes the
+    # j_m of their pairs as one contiguous (20, pairs) array.  The pairs lie
+    # in one flat array, time after time, and every elementwise step runs
+    # once on it; a run of k times of count n is then a contiguous (k, n)
+    # view, summed row by row as pairwise sums, as a call of those times
+    # alone would sum them.
+    firsts = np.cumsum(counts) - counts
+    cols = np.arange(firsts[-1] + counts[-1]) - np.repeat(firsts, counts)
+    t = np.repeat(freqs[at], counts)
+    h = halves[cols]
+    j = _spherical_bessel(t * h, out=work[:_ORDERS * t.size].reshape(_ORDERS, -1))
+    # j[m] *= 2 a_m (-i)^m, then re = sum of the even orders, im of the
+    # odd.  A take into out= buffers a copy unless told how to treat an
+    # index out of range, which cols never holds.
+    gathered = np.empty(cols.size)
+    for m in range(_ORDERS):
+        scaled[m].take(cols, out=gathered, mode="clip")
+        j[m] *= gathered
+    re, im = j[0], j[1]
+    for m in range(2, _ORDERS, 2):
+        re += j[m]
+        im += j[m + 1]
+    # times h e^{-i c t}
+    phase = t * centers[cols]
+    cos, sin = np.cos(phase), np.sin(phase)
+    real = (re * cos + im * sin) * h
+    imag = (im * cos - re * sin) * h
+    for run in np.split(np.arange(at.size), np.flatnonzero(np.diff(counts)) + 1):
+        rows, n = run.size, int(counts[run[0]])
+        pairs = slice(firsts[run[0]], firsts[run[0]] + rows * n)
+        out.real[at[run]] = real[pairs].reshape(rows, n).sum(axis=1)
+        out.imag[at[run]] = imag[pairs].reshape(rows, n).sum(axis=1)

@@ -314,6 +314,14 @@ def test_lowest_cavity_mode_note_names_a_refused_small_cavity_form():
     exact = spectrum.solve_cavity_spectrum(spec, k_max=50, variant="rederived")
     assert note == (
         "lowest cavity mode: exact cotangent (rederived) gives "
-        f"Omega0/bar_omega = {exact.frequencies[0] / spec.bar_omega:.6f}, "
+        f"Omega0/bar_omega = {exact.frequencies[0] / spec.bar_omega:.6e}, "
         "first-order small-cavity form refused (InputError: small-cavity ladder needs "
         "the mode spacing 2*pi*c/L to exceed bar_omega (got ratio 15.9155 >= 1))")
+
+
+def test_lowest_cavity_mode_note_keeps_its_digits_at_weak_coupling():
+    # Omega0/bar_omega is about pi*beta/delta here; six decimals read 0.000000
+    spec = OhmicSystemSpec.from_dimensionless(beta=1e-8, delta=0.3, n_modes=20)
+    note = next(n for n in cross_validate(spec).notes if n.startswith("lowest cavity mode"))
+    assert note.startswith("lowest cavity mode: exact cotangent (rederived) gives "
+                           "Omega0/bar_omega = 1.047198e-07, ")

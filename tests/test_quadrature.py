@@ -88,14 +88,24 @@ def test_batched_fourier_call_of_a_constant():
 
 def test_batched_fourier_call_matches_scalar_calls():
     # each time sums its own prefix of the panels; its value must not depend
-    # on which times share the call, nor on the panels past its prefix
+    # on which times share the call, nor on the panels past its prefix.  The
+    # call holds every count from 1 to all panels and more than one block of
+    # pairs, cut inside the run of the largest count.
     rng = np.random.default_rng(3)
     edges = np.cumsum(rng.exponential(0.3, 41))
     func = lambda w: np.cos(w) / (1.0 + w * w)  # noqa: E731
     lefts, rights, coefs, _, _ = quadrature._legendre_panels(func, edges, 1e-13)
     centers, halves = 0.5 * (lefts + rights), 0.5 * (rights - lefts)
-    times = np.concatenate((rng.uniform(0.0, 60.0, 200), [0.0, 19.999, 20.0, 3e5]))
-    counts = rng.integers(1, lefts.size + 1, times.size)
+    n_panels = lefts.size
+    counts = np.arange(1, n_panels + 1)
+    n_full = quadrature._PAIR_BLOCK // n_panels + 10
+    counts = rng.permutation(np.concatenate((counts, rng.integers(1, n_panels + 1, 200),
+                                             np.full(n_full, n_panels))))
+    times = rng.uniform(0.0, 60.0, counts.size)
+    times[:4] = [0.0, 19.999, 20.0, 3e5]
+    ordered = np.sort(counts)
+    cut = np.searchsorted(np.cumsum(ordered), quadrature._PAIR_BLOCK, side="right")
+    assert counts.sum() > quadrature._PAIR_BLOCK and ordered[cut - 1] == ordered[cut]
     vals = quadrature._fourier_sums(centers, halves, coefs, times, counts)
     for k in range(times.size):
         n = counts[k]
@@ -168,6 +178,36 @@ def test_spherical_bessel_keeps_its_shape_and_order():
     got = quadrature._spherical_bessel(x)
     assert got.shape == (20, 2, 2)
     assert np.array_equal(got.reshape(20, 4), quadrature._spherical_bessel(x.ravel()))
+
+
+# SHA-256 of j_0 .. j_19 on _BESSEL_POINTS and 10**4 log-spaced x from
+# 1e-10 to 1e5, and of f00_quadrature's values on 401 times to t = 200 and
+# on 4000 times to t = 2000 at beta 0.0073 (112,429 (time, panel) pairs in
+# 9 runs of equal counts, more than one block), recorded while the Fourier
+# sums still ran one call per count
+_BESSEL_DIGEST = "69fa6ba8de66783bf501e01aa67e5bb6655123cb2cad6d9793b3d4dd9d2ce55a"
+_F00_QUADRATURE_DIGESTS = {
+    (0.0073, 200.0, 401): "eb823ae11457d8fc97116d8784cced835537038a377e6d17ff703c9b1d7f1812",
+    (2.0 / math.pi, 200.0, 401):
+        "cbc7780cb53814bdde9ce262cf7282c0b778d91d61b1ac7d9313560e8a243d52",
+    (8.5, 200.0, 401): "055047daa7aa06b4d32d838c890d22702a223254ac0e91cc14e890f5f5eee953",
+    (1e-20, 200.0, 401): "2772b8d50a9ea382682e969b5bfe3ddbbd116699fff5dede8cf71bb35826ba73",
+    (0.0073, 2000.0, 4000): "ad95459958159122b94c828bebf32d7cd4d4c83de4d43ad97187300e5eb3956b",
+}
+
+
+def test_spherical_bessel_is_bit_identical():
+    x = np.concatenate((_BESSEL_POINTS, np.logspace(-10, 5, 10**4)))
+    got = quadrature._spherical_bessel(x)
+    assert hashlib.sha256(got.tobytes()).hexdigest() == _BESSEL_DIGEST
+
+
+@pytest.mark.parametrize("beta, t_max, samples", sorted(_F00_QUADRATURE_DIGESTS))
+def test_f00_quadrature_is_bit_identical(beta, t_max, samples):
+    spec = OhmicSystemSpec.from_dimensionless(beta, 0.05)
+    values = amplitudes.f00_quadrature(spec, np.linspace(0.0, t_max, samples)).values
+    digest = hashlib.sha256(values.tobytes()).hexdigest()
+    assert digest == _F00_QUADRATURE_DIGESTS[beta, t_max, samples]
 
 
 def _reference_panels(func, lefts, rights):
